@@ -121,7 +121,7 @@ def small_workload(monkeypatch, tmp_path):
     def scenario(seed):
         return api.Scenario.tiny().with_workload(horizon=200).with_budget(5000.0).with_seed(seed)
 
-    monkeypatch.setitem(workloads.WORKLOADS, "tiny", workloads.Workload("tiny", "test", scenario))
+    monkeypatch.setitem(workloads.WORKLOADS, "tiny", workloads.Workload("tiny", "test", (scenario,)))
     expected = dict(run.EXPECTED, success_rate={"tiny": {"range": [0.0, 1.0]}})
     monkeypatch.setattr(run, "EXPECTED", expected)
     monkeypatch.setattr(run, "ROOT", tmp_path)

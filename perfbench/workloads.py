@@ -1,17 +1,22 @@
-"""The benchmark's three workloads and the code that runs one of them.
+"""The benchmark's two workloads and the code that runs one of them.
 
-Every input derives from the workload seed: it becomes the scenario's
-``base_seed`` (topology, trace, fault schedule and policy streams all derive
-from it inside the program) and seeds the serving arrival trace this module
-generates.  Each workload stresses a different layer:
+A workload is a fixed list of independent instances, each a scenario with
+its own seed derived from the workload seed (``instance_seed``): it becomes
+the scenario's ``base_seed`` (topology, trace, fault schedule and policy
+streams all derive from it inside the program) and seeds the serving
+arrival trace this module generates.  Each workload stresses different
+layers:
 
-* ``paper-compare`` — the paper-scale OSCAR/MA/MF comparison, one trial.
-  Gibbs route selection over a warm kernel cache dominates.
-* ``event-physical`` — the event backend plus the physical chain under
-  aware edge faults and a naive policy.  It bypasses the solver: any solver
-  change should leave it unchanged.
-* ``serve-open`` — the serving layer replaying a diurnal session-arrival
-  trace (an open loop in simulated time).  It never calls the kernel.
+* ``paper-compare`` — the paper-scale OSCAR/MA/MF comparison, one trial
+  of 200 slots.  Gibbs and batched exhaustive route selection over a warm
+  kernel cache dominate.  One instance: it takes about 20 s, and summed over
+  three policies its time varies little from one topology to the next.
+* ``event-serve`` — three instances of the event backend plus the physical
+  chain under aware edge faults and a naive policy, each followed by one of
+  the serving layer replaying a diurnal session-arrival trace (an open loop
+  in simulated time).  Neither calls the solver: any solver change should
+  leave it unchanged.  Several short instances on different topologies
+  average out how much work one topology happens to need.
 """
 
 from __future__ import annotations
@@ -30,8 +35,12 @@ from repro.utils.rng import derive_seed
 
 from harness import Target, subclass_targets
 
+#: Slots of one event-backend instance.
+EVENT_HORIZON = 4000
+
 #: The serving trace: mean session joins per slot, diurnal swing, period.
-SERVE_HORIZON = 8000
+#: One instance replays one whole period.
+SERVE_HORIZON = 2000
 SERVE_JOIN_RATE = 1.0
 SERVE_SWING = 0.5
 SERVE_PERIOD = 2000
@@ -40,6 +49,11 @@ SERVE_PERIOD = 2000
 #: The join rate keeps a slot near 1 ms, short enough that host scheduling
 #: stalls land in well under 2% of slots and leave the p98 alone.
 SERVE_BUDGET_PER_SLOT = 375.0
+
+
+def instance_seed(seed: int, index: int) -> int:
+    """The seed of instance ``index`` of a workload run with ``seed``."""
+    return 1000 * seed + index
 
 
 def paper_compare(seed: int) -> api.Scenario:
@@ -54,7 +68,7 @@ def event_physical(seed: int) -> api.Scenario:
         .with_physical(**fig10_timing.PHYSICAL_DEFAULTS)
         .with_faults(edge_mtbf=25.0, mttr=4.0)
         .with_policies("shortest-uniform")
-        .with_workload(horizon=20000)
+        .with_workload(horizon=EVENT_HORIZON)
         .with_trials(1)
         .with_seed(seed)
     )
@@ -91,7 +105,18 @@ def serve_open(seed: int) -> api.Scenario:
 class Workload:
     name: str
     why: str
-    scenario: Callable[[int], api.Scenario]
+    #: One scenario maker per instance, called with the instance's seed.
+    instances: Tuple[Callable[[int], api.Scenario], ...]
+    #: Seconds one round over every instance takes on a 2-core x86 VM.
+    round_s: float = 1.0
+
+    def scenarios(self, seed: int) -> List[api.Scenario]:
+        """Every instance of the workload run with ``seed``, in order."""
+        return [make(instance_seed(seed, i)) for i, make in enumerate(self.instances)]
+
+    def rounds(self, seconds: float, least: int) -> int:
+        """Rounds filling about ``seconds``: fixed by the arguments, not the host."""
+        return max(least, round(seconds / self.round_s))
 
 
 WORKLOADS: Dict[str, Workload] = {
@@ -99,18 +124,17 @@ WORKLOADS: Dict[str, Workload] = {
     for w in (
         Workload(
             "paper-compare",
-            "paper-scale OSCAR/MA/MF compare; Gibbs over a warm kernel cache dominates",
-            paper_compare,
+            "paper-scale OSCAR/MA/MF compare, one 200-slot trial; "
+            "Gibbs and exhaustive selection on the kernel dominate",
+            (paper_compare,),
+            round_s=20.0,
         ),
         Workload(
-            "event-physical",
-            "event backend, physical chain and edge faults under a naive policy; bypasses the solver",
-            event_physical,
-        ),
-        Workload(
-            "serve-open",
-            "open-loop serving of a diurnal arrival trace with backlog admission; never calls the kernel",
-            serve_open,
+            "event-serve",
+            "event backend, physical chain and edge faults, then open-loop serving of a diurnal "
+            "trace, three topologies each; never calls the solver",
+            (event_physical, serve_open) * 3,
+            round_s=9.0,
         ),
     )
 }
@@ -119,26 +143,27 @@ WORKLOADS: Dict[str, Workload] = {
 # --------------------------------------------------------------------------- #
 # Set-up and execution
 # --------------------------------------------------------------------------- #
-def construct(scenario: api.Scenario) -> None:
+def construct(scenarios: List[api.Scenario]) -> None:
     """Build every trial's graph, trace, fault schedule and policies.
 
     Mirrors what :func:`repro.api.execute_trial` builds before its first
     slot, with the same seed derivations.  The process-wide topology store
     is cleared first, so this pays what a fresh process pays, and is left
-    filled, so a run that follows reuses the graphs and traces built here.
+    filled, so runs that follow reuse the graphs and traces built here.
     """
     default_topology_store.clear()
-    config = scenario.config
-    base = config.base_seed
-    for trial in range(config.trials):
-        graph = config.build_graph(seed=derive_seed(base, "graph", trial))
-        if config.fault_enabled:
-            config.build_faults(graph, derive_seed(base, "faults", trial))
-        if scenario.is_serving:
-            config.serving_model()
-        else:
-            config.build_trace(graph, seed=derive_seed(base, "trace", trial))
-            scenario.build_policies()
+    for scenario in scenarios:
+        config = scenario.config
+        base = config.base_seed
+        for trial in range(config.trials):
+            graph = config.build_graph(seed=derive_seed(base, "graph", trial))
+            if config.fault_enabled:
+                config.build_faults(graph, derive_seed(base, "faults", trial))
+            if scenario.is_serving:
+                config.serving_model()
+            else:
+                config.build_trace(graph, seed=derive_seed(base, "trace", trial))
+                scenario.build_policies()
 
 
 class SlotClock(api.RunObserver):
@@ -153,19 +178,42 @@ class SlotClock(api.RunObserver):
 
 @dataclass
 class UnitResult:
-    """One execution of a workload's scenario."""
+    """One execution of one instance's scenario."""
 
     record: api.RunRecord
     wall_s: float
     gaps_ms: List[float]
     decisions: int
 
-    def results(self):
-        for trial in self.record.trials:
-            yield from trial.values()
-
     def tables(self) -> str:
         return self.record.format_summary()
+
+
+@dataclass
+class Batch:
+    """One execution of every instance of a workload, in order."""
+
+    units: List[UnitResult]
+
+    @property
+    def wall_s(self) -> float:
+        return sum(unit.wall_s for unit in self.units)
+
+    @property
+    def gaps_ms(self) -> List[float]:
+        return [gap for unit in self.units for gap in unit.gaps_ms]
+
+    @property
+    def decisions(self) -> int:
+        return sum(unit.decisions for unit in self.units)
+
+    def results(self):
+        for unit in self.units:
+            for trial in unit.record.trials:
+                yield from trial.values()
+
+    def tables(self) -> str:
+        return "\n".join(unit.tables() for unit in self.units)
 
     def digest(self) -> str:
         return hashlib.sha256(self.tables().encode()).hexdigest()[:16]
@@ -180,13 +228,18 @@ class UnitResult:
         return issued, served
 
     def success_rate(self) -> float:
-        """Mean EC success rate over every (trial, policy) result."""
+        """Mean EC success rate over every (instance, trial, policy) result."""
         rates = [result.average_success_rate() for result in self.results()]
         return sum(rates) / len(rates)
 
     def stats(self, family: str) -> Dict[str, float]:
-        """One diagnostics family of the record (empty if absent)."""
-        return getattr(self.record, f"{family}_stats")() or {}
+        """One diagnostics family's numeric counters, summed over instances."""
+        totals: Dict[str, float] = {}
+        for unit in self.units:
+            for key, value in (getattr(unit.record, f"{family}_stats")() or {}).items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    totals[key] = totals.get(key, 0) + value
+        return totals
 
 
 def run_once(scenario: api.Scenario) -> UnitResult:
@@ -197,6 +250,11 @@ def run_once(scenario: api.Scenario) -> UnitResult:
     wall = time.perf_counter() - started
     gaps = [(b - a) * 1e3 for a, b in zip(clock.stamps, clock.stamps[1:])]
     return UnitResult(record, wall, gaps, len(clock.stamps))
+
+
+def run_batch(scenarios: List[api.Scenario]) -> Batch:
+    """Run every instance once, in order."""
+    return Batch([run_once(scenario) for scenario in scenarios])
 
 
 def layer_targets() -> List[Target]:
