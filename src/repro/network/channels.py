@@ -82,7 +82,22 @@ def log_multi_channel_success(slot_success: float, channels: float) -> float:
 
     Returns ``-inf`` when the success probability is exactly zero.
     """
-    probability = multi_channel_success(slot_success, channels)
+    check_probability(slot_success, "slot_success")
+    check_non_negative(channels, "channels")
+    return log_multi_channel_success_unchecked(slot_success, channels)
+
+
+def log_multi_channel_success_unchecked(slot_success: float, channels: float) -> float:
+    """:func:`log_multi_channel_success` without its argument checks.
+
+    For solver inner loops whose probabilities and channel counts are valid
+    by construction; on valid arguments the two return the same float.
+    """
+    if channels == 0 or slot_success == 0.0:
+        return float("-inf")
+    if slot_success >= 1.0:
+        return 0.0  # log(1)
+    probability = -math.expm1(channels * math.log1p(-slot_success))
     if probability <= 0.0:
         return float("-inf")
     return math.log(probability)

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.guard import hooks as guard_hooks
-from repro.network.channels import log_multi_channel_success
+from repro.network.channels import log_multi_channel_success_unchecked as _log_success
 from repro.solvers.allocation_problem import ContinuousSolution, IntegerSolution
 from repro.solvers.relaxed import (
     DualDecompositionSolver,
@@ -100,6 +100,21 @@ MAX_SOLVE_MEMO = 32768
 
 _OUTCOME_CLS = None
 
+# The hot loops call the ufuncs directly: ``np.clip`` and the ``.sum()`` /
+# ``.min()`` / ``.max()`` methods are Python wrappers around exactly these
+# calls, and their dispatch costs more than the arithmetic on arrays of a
+# dozen elements.  For the same reason products use ``ndarray.dot``, which
+# reaches the same BLAS routine as ``@`` with less dispatch, and boolean
+# masks are tested with ``np.count_nonzero`` rather than ``.any()``.
+try:  # NumPy >= 2
+    from numpy._core.umath import clip as _clip
+except ImportError:  # pragma: no cover - NumPy 1.x
+    from numpy.core.umath import clip as _clip
+_add_reduce = np.add.reduce
+_min_reduce = np.minimum.reduce
+_max_reduce = np.maximum.reduce
+_any = np.count_nonzero  # truthy iff any element of a boolean mask is set
+
 
 def _outcome_class():
     """Lazily resolve :class:`AllocationOutcome` (breaks the core↔solvers cycle)."""
@@ -109,6 +124,36 @@ def _outcome_class():
 
         _OUTCOME_CLS = AllocationOutcome
     return _OUTCOME_CLS
+
+
+def _relaxed_objective(
+    combo: "_ComboStructure", x: np.ndarray, V: float, q: float
+) -> float:
+    """Mirror of :meth:`AllocationProblem.objective_array` on a combination."""
+    neg_log1p = combo.neg_log1p
+    if combo.fast_path:
+        log_terms = np.log(-np.expm1(x * neg_log1p))
+        return float(V * _add_reduce(log_terms) - q * _add_reduce(x))
+    log_terms = np.empty_like(x)
+    safe = combo.p < 1.0
+    log_terms[safe] = np.log(-np.expm1(x[safe] * neg_log1p[safe]))
+    log_terms[~safe] = 0.0
+    return float(V * _add_reduce(log_terms) - q * _add_reduce(x))
+
+
+def _integer_objective(
+    p_list: Sequence[float], values: Sequence[float], V: float, q: float
+) -> float:
+    """Mirror of :meth:`AllocationProblem.objective` on an integral point.
+
+    Probabilities and channel counts are valid by construction here, so the
+    per-term log skips the argument checks of
+    :func:`~repro.network.channels.log_multi_channel_success`.
+    """
+    utility = 0.0
+    for p_i, value in zip(p_list, values):
+        utility += _log_success(p_i, value)
+    return V * utility - q * float(sum(values))
 
 
 @dataclass(frozen=True)
@@ -226,9 +271,14 @@ class _ComboStructure:
     """Static arrays of one route combination (request- and slot-independent).
 
     Everything here depends only on which routes were combined (and whether a
-    budget row is active) — membership matrices, the legacy first-touch
-    constraint ordering, probability tables — so it is compiled once per
-    distinct route multiset and reused across slots and request sets.
+    budget row is active) — the legacy first-touch constraint ordering,
+    probability tables, membership — so it is compiled once per distinct
+    route multiset and reused across slots and request sets.
+
+    Only what every solve reads is built eagerly.  The dense membership
+    matrices, the per-variable row lists and the per-row member lists are
+    built on first use: a combination that the batched exhaustive solve
+    prunes, or that hits the solve memo, never needs them.
     """
 
     __slots__ = (
@@ -241,70 +291,97 @@ class _ComboStructure:
         "order_array",
         "m",
         "rows_local",
-        "membership",
-        "membership_t",
-        "var_rows",
-        "row_members",
         "lower",
         "lower_loads",
-        "block_hops",
+        "_membership",
+        "_membership_t",
+        "_var_rows",
+        "_row_members",
     )
 
     def __init__(
         self, blocks: Sequence[_RouteBlock], budget_row: Optional[int]
     ) -> None:
-        n = sum(block.hops for block in blocks)
+        p = np.concatenate([block.p for block in blocks])
+        n = p.shape[0]
         self.n = n
-        self.block_hops = [block.hops for block in blocks]
-        self.p = np.concatenate([block.p for block in blocks])
+        self.p = p
         self.p_list = [v for block in blocks for v in block.p_list]
-        triples = np.vstack([block.row_triples for block in blocks])
+        triples = np.concatenate([block.row_triples for block in blocks])
 
         # Active constraints, ordered exactly as the legacy problem builder
         # orders them (nodes by first touch, then edges, then the budget) so
-        # the repair pass visits them in the same sequence.
-        seen_nodes: Dict[int, None] = {}
-        seen_edges: Dict[int, None] = {}
-        for u_row, v_row, e_row in triples.tolist():
-            if u_row not in seen_nodes:
-                seen_nodes[u_row] = None
-            if v_row not in seen_nodes:
-                seen_nodes[v_row] = None
-            if e_row not in seen_edges:
-                seen_edges[e_row] = None
-        order: List[int] = list(seen_nodes) + list(seen_edges)
+        # the repair pass visits them in the same sequence and the
+        # membership products sum in the same order.
+        order: List[int] = list(dict.fromkeys(triples[:, :2].ravel().tolist()))
+        order.extend(dict.fromkeys(triples[:, 2].tolist()))
         if budget_row is not None:
             order.append(budget_row)
-        self.order_array = np.asarray(order, dtype=np.intp)
+            triples = np.concatenate(
+                [triples, np.full((n, 1), budget_row, dtype=np.intp)], axis=1
+            )
+        order_array = np.asarray(order, dtype=np.intp)
+        self.order_array = order_array
         m = len(order)
         self.m = m
-
-        local: Dict[int, int] = {row: i for i, row in enumerate(order)}
-        rows_local = np.asarray(
-            [local[int(row)] for row in triples.ravel()], dtype=np.intp
-        ).reshape(triples.shape)
-        if budget_row is not None:
-            rows_local = np.hstack(
-                [rows_local, np.full((n, 1), m - 1, dtype=np.intp)]
-            )
-        self.rows_local = rows_local
-        width = rows_local.shape[1]
-
-        membership = np.zeros((m, n), dtype=float)
-        membership[rows_local.ravel(), np.repeat(np.arange(n), width)] = 1.0
-        self.membership = membership
-        self.membership_t = membership.T.copy()
-        self.var_rows = [rows_local[i] for i in range(n)]
-        self.row_members = [np.nonzero(membership[r])[0] for r in range(m)]
+        local = np.empty(max(order) + 1, dtype=np.intp)
+        local[order_array] = np.arange(m, dtype=np.intp)
+        self.rows_local = local[triples]
 
         self.lower = np.ones(n, dtype=float)
-        self.lower_loads = membership.sum(axis=1)
+        self.lower_loads = np.bincount(self.rows_local.ravel(), minlength=m).astype(
+            float
+        )
+        self._membership: Optional[np.ndarray] = None
+        self._membership_t: Optional[np.ndarray] = None
+        self._var_rows: Optional[List[List[int]]] = None
+        self._row_members: Optional[List[np.ndarray]] = None
 
-        p = self.p
         degenerate = (p <= 0.0) | (p >= 1.0)
-        self.fast_path = not bool(np.any(degenerate))
-        self.a = -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-15))
+        self.fast_path = not _any(degenerate)
+        self.a = -np.log1p(-_clip(p, 0.0, 1.0 - 1e-15))
         self.neg_log1p = np.log1p(-p)
+
+    @property
+    def membership(self) -> np.ndarray:
+        """Dense ``(m, n)`` 0/1 constraint-membership matrix."""
+        membership = self._membership
+        if membership is None:
+            n = self.n
+            rows_local = self.rows_local
+            membership = np.zeros((self.m, n), dtype=float)
+            membership[
+                rows_local.ravel(), np.repeat(np.arange(n), rows_local.shape[1])
+            ] = 1.0
+            self._membership = membership
+        return membership
+
+    @property
+    def membership_t(self) -> np.ndarray:
+        """C-contiguous transpose of :attr:`membership`."""
+        membership_t = self._membership_t
+        if membership_t is None:
+            membership_t = self._membership_t = self.membership.T.copy()
+        return membership_t
+
+    @property
+    def var_rows(self) -> List[List[int]]:
+        """``var_rows[i]``: the local constraint rows of variable ``i``."""
+        var_rows = self._var_rows
+        if var_rows is None:
+            var_rows = self._var_rows = self.rows_local.tolist()
+        return var_rows
+
+    @property
+    def row_members(self) -> List[np.ndarray]:
+        """``row_members[r]``: the variables of local row ``r``, ascending."""
+        row_members = self._row_members
+        if row_members is None:
+            membership = self.membership
+            row_members = self._row_members = [
+                membership[r].nonzero()[0] for r in range(self.m)
+            ]
+        return row_members
 
 
 class CompiledStructure:
@@ -590,14 +667,15 @@ class SlotKernel:
                 combo_key, self._utility_weight, self._cost_weight,
                 self._budget_cap, capacities.tobytes(),
             )
-            raw_upper = (
-                (capacities - combo.lower_loads + 1.0)[combo.rows_local].min(axis=1)
+            lower_loads = combo.lower_loads
+            raw_upper = _min_reduce(
+                (capacities - lower_loads + 1.0)[combo.rows_local], axis=1
             )
             if (
                 memo_key in structure.solve_memo
                 or not combo.fast_path
-                or bool(np.any(raw_upper < 1.0))
-                or bool(np.any(combo.lower_loads > capacities + 1e-6))
+                or _any(raw_upper < 1.0)
+                or _any(lower_loads > capacities + 1e-6)
             ):
                 self._combo_precounted[combo_key] = combo_cached
                 self.outcome_for(key)
@@ -627,7 +705,10 @@ class SlotKernel:
             self._solve_batch(batch, prune=prune)
 
     def _solve_batch(self, batch: List[Tuple], prune: bool = False) -> None:
-        """Lock-step batched dual ascent over pre-validated combinations."""
+        """Lock-step batched dual ascent over pre-validated combinations.
+
+        Runs under the caller's ``np.errstate``.
+        """
         options = self._options
         structure = self._structure
         V = self._utility_weight
@@ -661,9 +742,15 @@ class SlotKernel:
         a_b = -np.log1p(-p_b)
         va_b = V * a_b
         neg_b = np.log1p(-p_b)
+        # Every price is q plus non-negative multipliers, so with q >= 1e-300
+        # the price floor and the non-positive-price branch are no-ops.
+        plain_prices = q >= 1e-300
 
-        idx0 = np.arange(C)[:, None, None]
         flat_rows = (np.arange(C)[:, None, None] * (M + 1) + rows_b).reshape(-1)
+
+        def per_variable(rows: np.ndarray) -> np.ndarray:
+            """``rows[c, rows_b[c]]``: each variable's row values, ``(C, N, width)``."""
+            return rows.reshape(-1)[flat_rows].reshape(C, N, width)
 
         def batch_loads(x: np.ndarray) -> np.ndarray:
             return np.bincount(
@@ -675,21 +762,24 @@ class SlotKernel:
 
         def batch_obj(x: np.ndarray) -> np.ndarray:
             log_terms = np.log(-np.expm1(x * neg_b))
-            return V * np.where(mask, log_terms, 0.0).sum(-1) - q * np.where(
-                mask, x, 0.0
-            ).sum(-1)
+            utility = _add_reduce(np.where(mask, log_terms, 0.0), axis=-1)
+            return V * utility - q * _add_reduce(np.where(mask, x, 0.0), axis=-1)
 
         def batch_best_response(prices: np.ndarray) -> np.ndarray:
-            x = np.log1p(va_b / np.maximum(prices, 1e-300)) / a_b
-            x = np.where(prices <= 0.0, upper_b, x)
-            np.clip(x, lower_b, upper_b, out=x)
-            return x
+            if plain_prices:
+                x = np.log1p(va_b / prices)
+                x /= a_b
+            else:
+                x = np.log1p(va_b / np.maximum(prices, 1e-300))
+                x /= a_b
+                x = np.where(prices <= 0.0, upper_b, x)
+            return _clip(x, lower_b, upper_b, out=x)
 
         def batch_repair(x: np.ndarray) -> np.ndarray:
             """Feasible by construction: each variable's excess over its
             lower bound is scaled by the worst slack/overflow ratio of its
             rows, so no row can end above its capacity."""
-            np.clip(x, lower_b, upper_b, out=x)
+            _clip(x, lower_b, upper_b, out=x)
             loads = batch_loads(x)
             over = loads - lower_loads_b
             avail = caps_b - lower_loads_b
@@ -698,8 +788,8 @@ class SlotKernel:
                 avail / np.maximum(over, 1e-300),
                 1.0,
             )
-            np.clip(s_row, 0.0, 1.0, out=s_row)
-            s_var = s_row[idx0, rows_b].min(-1)
+            _clip(s_row, 0.0, 1.0, out=s_row)
+            s_var = _min_reduce(per_variable(s_row), axis=-1)
             return lower_b + (x - lower_b) * s_var
 
         def batch_polish(x: np.ndarray) -> np.ndarray:
@@ -707,12 +797,12 @@ class SlotKernel:
             batch counterpart of the sequential ``fast_polish``)."""
             loads = batch_loads(x)
             slack = caps_b - loads
-            head = slack[idx0, rows_b].min(-1)
-            raise_by = np.clip(x_unc - x, 0.0, np.maximum(head, 0.0))
+            head = _min_reduce(per_variable(slack), axis=-1)
+            raise_by = _clip(x_unc - x, 0.0, np.maximum(head, 0.0))
             inc = batch_loads(raise_by)
             ratios = np.where(inc > 0.0, slack / inc, 1.0)
-            scale = np.minimum(1.0, ratios[idx0, rows_b].min(-1))
-            lower_by = np.clip(x - x_unc, 0.0, x - lower_b)
+            scale = np.minimum(1.0, _min_reduce(per_variable(ratios), axis=-1))
+            lower_by = _clip(x - x_unc, 0.0, x - lower_b)
             return x + raise_by * np.maximum(scale, 0.0) - lower_by
 
         x_unc = batch_best_response(np.full((C, N), q))
@@ -738,7 +828,7 @@ class SlotKernel:
         else:
             step_scale = np.asarray(
                 [
-                    max(V, 1.0) / max(float(entry[5].max()), 1.0)
+                    max(V, 1.0) / max(float(_max_reduce(entry[5])), 1.0)
                     for entry in batch
                 ]
             )
@@ -753,16 +843,17 @@ class SlotKernel:
         max_iterations = options.dual_iterations
 
         for k in range(max_iterations):
-            prices = q + mult[idx0, rows_b].sum(-1)
+            prices = _add_reduce(per_variable(mult), axis=-1)
+            prices += q
             x = batch_best_response(prices)
             loads = batch_loads(x)
             violation = np.where(row_mask, loads - caps_b, 0.0)
-            dual = batch_obj(x) - (mult * violation).sum(-1)
+            dual = batch_obj(x) - _add_reduce(mult * violation, axis=-1)
             improved = active & (dual < best_dual)
             best_dual = np.where(improved, dual, best_dual)
             best_mult[improved] = mult[improved]
             candidate_for = active & (improved | (k == 0))
-            if candidate_for.any():
+            if _any(candidate_for):
                 candidate = batch_polish(batch_repair(x.copy()))
                 objective = batch_obj(candidate)
                 better = candidate_for & (objective > best_obj)
@@ -773,10 +864,10 @@ class SlotKernel:
             )
             used[certified] = k + 1
             active &= ~certified
-            if not active.any():
+            if not _any(active):
                 break
             effective = np.where((mult > 0.0) | (violation > 0.0), violation, 0.0)
-            norm2 = (effective * effective).sum(-1)
+            norm2 = _add_reduce(effective * effective, axis=-1)
             step = (dual - best_obj) / np.maximum(norm2, 1e-12)
             fallback = step_scale / np.sqrt(offset_b + k + 1.0)
             step = np.where(
@@ -798,26 +889,26 @@ class SlotKernel:
         # bound falls strictly below the best rounded objective so far — a
         # pruned combination provably cannot win the argmax.
         finish_order = range(C)
+        dual_bounds = best_dual.tolist()
         if prune:
             finish_order = sorted(
-                range(C), key=lambda c: float(best_dual[c]), reverse=True
+                range(C), key=dual_bounds.__getitem__, reverse=True
             )
         best_rounded = -np.inf
         last_finished: Optional[int] = None
         for c in finish_order:
-            if prune and float(best_dual[c]) < best_rounded:
+            if prune and dual_bounds[c] < best_rounded:
                 self.stats["pruned"] += 1
                 continue
             key, combo_key, combo, memo_key, keys, capacities, upper = batch[c]
             n, m = combo.n, combo.m
             x_c = best_x[c, :n].copy()
             if options.polish_rounds > 0:
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    cyclic_coordinate_polish(
-                        x_c, combo.lower, upper, combo.p, V, q,
-                        combo.membership @ x_c, capacities, combo.var_rows,
-                        options.polish_rounds,
-                    )
+                cyclic_coordinate_polish(
+                    x_c, combo.lower, upper, combo.p, V, q,
+                    combo.membership.dot(x_c), capacities, combo.var_rows,
+                    options.polish_rounds,
+                )
             if warm_enabled:
                 final_mult = best_mult[c, :m].copy()
                 final_offset = int(
@@ -850,40 +941,32 @@ class SlotKernel:
     # ------------------------------------------------------------------ #
     def _solve(self, assignment: Tuple[int, ...]) -> "AllocationOutcome":
         self.stats["solves"] += 1
-        outcome_cls = _outcome_class()
         structure = self._structure
         blocks = [self._blocks[i][choice] for i, choice in enumerate(assignment)]
         if not blocks or all(block.hops == 0 for block in blocks):
-            return outcome_cls(allocation={}, objective=0.0, feasible=True, cost=0)
+            return _outcome_class()(
+                allocation={}, objective=0.0, feasible=True, cost=0
+            )
         combo_key, combo, combo_cached = structure.combo_for(blocks, self._use_budget)
         precounted = self._combo_precounted.pop(combo_key, None)
         if combo_cached if precounted is None else precounted:
             self.stats["combo_hits"] += 1
-        n = combo.n
 
-        keys: List[Tuple[object, Tuple[object, object]]] = []
-        for request, block in zip(self._requests, blocks):
-            for edge in block.edge_keys:
-                keys.append((request, edge))
-        p = combo.p
-        p_list = combo.p_list
-
-        order_array = combo.order_array
-        m = combo.m
-        rows_local = combo.rows_local
-        membership = combo.membership
-        membership_t = combo.membership_t
-        capacities = self._capacities[order_array]
-        var_rows = combo.var_rows
-
-        V = self._utility_weight
-        q = self._cost_weight
+        keys: List[Tuple[object, Tuple[object, object]]] = [
+            (request, edge)
+            for request, block in zip(self._requests, blocks)
+            for edge in block.edge_keys
+        ]
+        capacities = self._capacities[combo.order_array]
 
         # A solve is a deterministic function of the combination, the
         # active-row capacities and the weights, so an exact input match —
         # common under static resources (myopic-fixed caps, repeated queue
         # prices, the drop-retry loop) — reuses the previous solution pair.
-        memo_key = (combo_key, V, q, self._budget_cap, capacities.tobytes())
+        memo_key = (
+            combo_key, self._utility_weight, self._cost_weight,
+            self._budget_cap, capacities.tobytes(),
+        )
         memo = structure.solve_memo.get(memo_key)
         if memo is not None:
             structure.solve_memo.move_to_end(memo_key)
@@ -891,61 +974,112 @@ class SlotKernel:
             relaxed, rounded = memo
             return self._build_outcome(memo_key, keys, relaxed, rounded, store=False)
 
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self._solve_combo(combo_key, combo, memo_key, keys, capacities)
+
+    def _solve_combo(
+        self,
+        combo_key: Tuple,
+        combo: _ComboStructure,
+        memo_key: Tuple,
+        keys: List[Tuple[object, Tuple[object, object]]],
+        capacities: np.ndarray,
+    ) -> "AllocationOutcome":
+        """Dual ascent, polish and integer stage of one unmemoised combination.
+
+        Runs under the caller's ``np.errstate``.
+        """
+        structure = self._structure
+        options = self._options
+        V = self._utility_weight
+        q = self._cost_weight
+        n = combo.n
+        m = combo.m
+        p = combo.p
+        order_array = combo.order_array
+        rows_local = combo.rows_local
         lower = combo.lower
         lower_loads = combo.lower_loads
-        raw_upper = (capacities - lower_loads + 1.0)[rows_local].min(axis=1)
-        infeasible_bounds = bool(np.any(raw_upper < 1.0))
+
+        raw_upper = _min_reduce((capacities - lower_loads + 1.0)[rows_local], axis=1)
         upper = np.maximum(raw_upper, 1.0)
 
-        options = self._options
+        # ----- minimum-footprint infeasibility: reject the combination --- #
+        if _any(raw_upper < 1.0) or _any(lower_loads > capacities + 1e-6):
+            relaxed = ContinuousSolution(
+                values=(1.0,) * n,
+                objective=_relaxed_objective(combo, lower, V, q),
+                feasible=False,
+            )
+            rounded = IntegerSolution(
+                values=(1,) * n,
+                objective=_integer_objective(combo.p_list, [1.0] * n, V, q),
+                feasible=False,
+            )
+            return self._build_outcome(memo_key, keys, relaxed, rounded)
+
+        membership = combo.membership
+        membership_t = combo.membership_t
         tolerance = options.feasibility_tolerance
+        lower_tol = lower - tolerance
+        caps_tol = capacities + tolerance
+        capacity_list = capacities.tolist()
 
         fast_path = combo.fast_path
         a = combo.a
         va = V * a
-        neg_log1p = combo.neg_log1p
+        # Every price is q plus non-negative multipliers, so with q >= 1e-300
+        # the price floor and the non-positive-price branch are no-ops.
+        plain_prices = q >= 1e-300
 
-        def objective_np(x: np.ndarray) -> float:
-            """Mirror of :meth:`AllocationProblem.objective_array`."""
+        def best_response(prices: np.ndarray) -> np.ndarray:
             if fast_path:
-                log_terms = np.log(-np.expm1(x * neg_log1p))
-                return float(V * log_terms.sum() - q * x.sum())
-            log_terms = np.empty_like(x)
-            safe = p < 1.0
-            log_terms[safe] = np.log(-np.expm1(x[safe] * neg_log1p[safe]))
-            log_terms[~safe] = 0.0
-            return float(V * log_terms.sum() - q * x.sum())
+                if plain_prices:
+                    x = np.log1p(va / prices)
+                    x /= a
+                else:
+                    x = np.log1p(va / np.maximum(prices, 1e-300))
+                    x /= a
+                    x = np.where(prices <= 0.0, upper, x)
+                return _clip(x, lower, upper, out=x)
+            return _closed_form_best_response(prices, p, V, lower, upper)
 
-        def row_loads(x: np.ndarray) -> np.ndarray:
-            return membership @ x
-
-        def is_feasible(x: np.ndarray, tol: float) -> bool:
-            """Mirror of :meth:`AllocationProblem.is_feasible`."""
-            if np.any(x < lower - tol):
-                return False
-            return not np.any(membership @ x > capacities + tol)
-
-        def repair(x: np.ndarray) -> np.ndarray:
+        def repair(
+            x: np.ndarray,
+            loads: Optional[np.ndarray] = None,
+            violation: Optional[np.ndarray] = None,
+        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
             """Mirror of :meth:`AllocationProblem.repair_feasibility`.
 
             Reductions only ever shrink ``x``, so the rows violated after the
             initial clip are a superset of the rows that need work — the
             common near-feasible iterate costs one matvec and no row loop.
+            A caller that already holds the row loads and violation of an
+            in-bounds ``x`` passes them (the clip is then a no-op).  Returns
+            ``x`` and its row loads, or ``None`` for the loads when a row was
+            reduced.
             """
-            np.clip(x, lower, upper, out=x)
-            violated = np.nonzero(membership @ x - capacities > 1e-12)[0]
-            for r in violated:
-                members = combo.row_members[r]
-                load = float(x[members].sum())
-                excess = load - capacities[r]
+            if loads is None:
+                _clip(x, lower, upper, out=x)
+                loads = membership.dot(x)
+                violation = loads - capacities
+            violated = (violation > 1e-12).nonzero()[0]
+            if not violated.size:
+                return x, loads
+            row_members = combo.row_members
+            for r in violated.tolist():
+                members = row_members[r]
+                current = x[members]
+                load = float(_add_reduce(current))
+                excess = load - capacity_list[r]
                 if excess <= 1e-12:
                     continue
-                headroom = x[members] - lower[members]
-                total_headroom = headroom.sum()
+                headroom = current - lower[members]
+                total_headroom = _add_reduce(headroom)
                 if total_headroom <= 0:
                     continue
                 reduction = np.minimum(headroom, headroom * (excess / total_headroom))
-                shortfall = excess - reduction.sum()
+                shortfall = excess - _add_reduce(reduction)
                 if shortfall > 1e-12:
                     order_h = np.argsort(-(headroom - reduction))
                     for index in order_h:
@@ -955,55 +1089,46 @@ class SlotKernel:
                         shortfall -= take
                         if shortfall <= 1e-12:
                             break
-                x[members] = x[members] - reduction
-            return x
+                x[members] = current - reduction
+            return x, None
 
-        def integer_objective(values: np.ndarray) -> float:
-            """Mirror of :meth:`AllocationProblem.objective` on integers."""
-            utility = 0.0
-            for p_i, value in zip(p_list, values):
-                utility += log_multi_channel_success(p_i, float(value))
-            return V * utility - q * float(values.sum())
-
-        # ----- minimum-footprint infeasibility: reject the combination --- #
-        if infeasible_bounds or np.any(lower_loads > capacities + 1e-6):
-            relaxed = ContinuousSolution(
-                values=tuple(1.0 for _ in range(n)),
-                objective=objective_np(lower),
-                feasible=False,
-            )
-            values = lower.astype(int)
-            rounded = IntegerSolution(
-                values=tuple(int(v) for v in values),
-                objective=integer_objective(lower),
-                feasible=False,
-            )
-            return self._build_outcome(memo_key, keys, relaxed, rounded)
+        def feasible_loads(
+            x: np.ndarray, loads: Optional[np.ndarray]
+        ) -> Optional[np.ndarray]:
+            """Mirror of :meth:`AllocationProblem.is_feasible` at the solver
+            tolerance: the row loads of a feasible ``x``, ``None`` otherwise."""
+            if _any(x < lower_tol):
+                return None
+            if loads is None:
+                loads = membership.dot(x)
+            if _any(loads > caps_tol):
+                return None
+            return loads
 
         # ----- warm-started projected-subgradient dual ascent ------------ #
         step_scale = options.initial_step
         if step_scale is None:
-            step_scale = max(V, 1.0) / max(float(capacities.max()), 1.0)
+            step_scale = max(V, 1.0) / max(float(_max_reduce(capacities)), 1.0)
 
         # Warm starts and replay mode are mutually exclusive: a warm seed (or
         # saving the last oscillating iterate as one) would break the
         # ``dual_tolerance=0`` promise of replaying the legacy schedule.
         # A revisited combination re-seeds from its own best multipliers
         # (tight for it by construction); a new combination falls back to
-        # the global per-resource vector of the previous solve.
+        # the global per-resource vector of the previous solve.  ``mult`` is
+        # rebound, never written in place, so it can be kept by reference.
         warm_enabled = options.warm_start and options.dual_tolerance > 0.0
         combo_warm = structure.combo_warm.get(combo_key) if warm_enabled else None
         if combo_warm is not None:
             mult = combo_warm[0].copy()
             offset = combo_warm[1]
         elif warm_enabled and structure.warm_ready:
-            mult = structure.warm_mult[order_array].copy()
+            mult = structure.warm_mult[order_array]
             offset = structure.step_offset
         else:
             mult = np.zeros(m, dtype=float)
             offset = 0
 
-        base_prices = np.full(n, q)
         best_x: Optional[np.ndarray] = None
         best_objective = -math.inf
         best_dual = math.inf
@@ -1018,14 +1143,14 @@ class SlotKernel:
             rounds = options.polish_rounds if rounds is None else rounds
             if rounds > 0:
                 cyclic_coordinate_polish(
-                    candidate, lower, upper, p, V, q, row_loads(candidate),
-                    capacities, var_rows, rounds,
+                    candidate, lower, upper, p, V, q, membership.dot(candidate),
+                    capacities, combo.var_rows, rounds,
                 )
             return candidate
 
         x_unconstrained: Optional[np.ndarray] = None
 
-        def fast_polish(candidate: np.ndarray) -> np.ndarray:
+        def fast_polish(candidate: np.ndarray, loads: np.ndarray) -> np.ndarray:
             """One vectorised water-fill step towards the per-variable optimum.
 
             The horizon-mode stand-in for the in-loop single cyclic polish
@@ -1035,154 +1160,150 @@ class SlotKernel:
             can overflow (each variable's scale is bounded by every one of
             its rows' slack/increase ratios).  ~10 array ops instead of a
             per-variable Python loop, at a slightly looser (still feasible)
-            primal bound.
+            primal bound.  ``loads`` are the row loads of ``candidate``.
             """
             target = x_unconstrained
-            slack = capacities - membership @ candidate
-            headroom = slack[rows_local].min(axis=1)
-            raise_by = np.clip(target - candidate, 0.0, np.maximum(headroom, 0.0))
-            increase = membership @ raise_by
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(increase > 0.0, slack / increase, 1.0)
-            scale = np.minimum(1.0, ratios[rows_local].min(axis=1))
-            lower_by = np.clip(candidate - target, 0.0, candidate - lower)
+            slack = capacities - loads
+            headroom = _min_reduce(slack[rows_local], axis=1)
+            raise_by = _clip(target - candidate, 0.0, np.maximum(headroom, 0.0))
+            increase = membership.dot(raise_by)
+            ratios = np.where(increase > 0.0, slack / increase, 1.0)
+            scale = np.minimum(1.0, _min_reduce(ratios[rows_local], axis=1))
+            lower_by = _clip(candidate - target, 0.0, candidate - lower)
             candidate += raise_by * np.maximum(scale, 0.0) - lower_by
             return candidate
-
-        def best_response(prices: np.ndarray) -> np.ndarray:
-            if fast_path:
-                x = np.log1p(va / np.maximum(prices, 1e-300)) / a
-                x = np.where(prices <= 0.0, upper, x)
-                np.clip(x, lower, upper, out=x)
-                return x
-            return _closed_form_best_response(prices, p, V, lower, upper)
 
         polished_final = False
         direct = False
         direct_mult: Optional[np.ndarray] = None
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if options.horizon_mode and gap_tolerance > 0.0:
-                # Exact KKT shortcuts of the horizon-compiled mode.  The
-                # objective is separable and concave, so (a) a feasible
-                # unconstrained best response is the optimum of the whole
-                # relaxation, and (b) when only the budget row binds, the
-                # optimum is the best response at ``q + λ*`` where the single
-                # multiplier λ* makes the budget tight — found by bisection
-                # (the total allocation is continuous and decreasing in λ).
-                x0 = best_response(base_prices)
-                x_unconstrained = x0
-                loads0 = membership @ x0
-                violated0 = loads0 > capacities + tolerance
-                if not violated0.any():
-                    best_x = x0
-                    used = 1
+        if options.horizon_mode and gap_tolerance > 0.0:
+            # Exact KKT shortcuts of the horizon-compiled mode.  The
+            # objective is separable and concave, so (a) a feasible
+            # unconstrained best response is the optimum of the whole
+            # relaxation, and (b) when only the budget row binds, the
+            # optimum is the best response at ``q + λ*`` where the single
+            # multiplier λ* makes the budget tight — found by bisection
+            # (the total allocation is continuous and decreasing in λ).
+            base_prices = np.full(n, q)
+            x0 = best_response(base_prices)
+            x_unconstrained = x0
+            violated0 = membership.dot(x0) > caps_tol
+            if not _any(violated0):
+                best_x = x0
+                used = 1
+                direct = True
+                direct_mult = np.zeros(m, dtype=float)
+            elif (
+                self._use_budget
+                and bool(violated0[m - 1])
+                and not _any(violated0[: m - 1])
+            ):
+                cap_total = capacities[m - 1]
+                lo, hi = 0.0, max(step_scale, 1.0)
+                evals = 1
+                while float(_add_reduce(best_response(base_prices + hi))) > cap_total and evals < 80:
+                    lo, hi = hi, hi * 2.0
+                    evals += 1
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    evals += 1
+                    if float(_add_reduce(best_response(base_prices + mid))) > cap_total:
+                        lo = mid
+                    else:
+                        hi = mid
+                x_star = best_response(base_prices + hi)
+                # λ > 0 may only tighten the other rows (x decreases in
+                # λ), so feasibility of the budget row is feasibility of
+                # the whole system.
+                if float(_add_reduce(x_star)) <= cap_total + tolerance:
+                    best_x = x_star
+                    used = evals
                     direct = True
                     direct_mult = np.zeros(m, dtype=float)
-                elif (
-                    self._use_budget
-                    and bool(violated0[m - 1])
-                    and not violated0[: m - 1].any()
-                ):
-                    cap_total = capacities[m - 1]
-                    lo, hi = 0.0, max(step_scale, 1.0)
-                    evals = 1
-                    while float(best_response(base_prices + hi).sum()) > cap_total and evals < 80:
-                        lo, hi = hi, hi * 2.0
-                        evals += 1
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        evals += 1
-                        if float(best_response(base_prices + mid).sum()) > cap_total:
-                            lo = mid
-                        else:
-                            hi = mid
-                    x_star = best_response(base_prices + hi)
-                    # λ > 0 may only tighten the other rows (x decreases in
-                    # λ), so feasibility of the budget row is feasibility of
-                    # the whole system.
-                    if float(x_star.sum()) <= cap_total + tolerance:
-                        best_x = x_star
-                        used = evals
-                        direct = True
-                        direct_mult = np.zeros(m, dtype=float)
-                        direct_mult[m - 1] = hi
-                if direct:
-                    self.stats["direct_solves"] += 1
-                    best_objective = objective_np(best_x)
+                    direct_mult[m - 1] = hi
             if direct:
-                pass
-            elif gap_tolerance > 0.0:
-                # Adaptive mode: Polyak-sized steps aimed at the best polished
-                # primal bound, with a duality-gap early stop.  The repaired
-                # subgradient iterate alone is a weak primal bound — polishing
-                # every candidate is what makes the gap certify within a
-                # handful of iterations (and what sizes the steps well).
-                polished_final = True
-                step_cap = 5.0 * step_scale
-                for k in range(max_iterations):
-                    prices = base_prices + membership_t @ mult
-                    x = best_response(prices)
-                    violation = membership @ x - capacities
-                    dual_value = objective_np(x) - float(mult @ violation)
-                    improved = dual_value < best_dual
-                    if improved:
-                        best_dual = dual_value
-                        best_mult = mult.copy()
-                    if improved or k == 0:
-                        # A tighter dual iterate is also the better primal
-                        # candidate; repairing/polishing only then skips the
-                        # oscillating iterates.  One polish round tightens
-                        # the primal bound enough for the gap test; the
-                        # winner gets the remaining rounds after the loop.
-                        repaired = repair(x.copy())
-                        if is_feasible(repaired, tolerance):
-                            if x_unconstrained is not None:
-                                candidate = fast_polish(repaired)
-                            else:
-                                candidate = polish(
-                                    repaired, rounds=min(options.polish_rounds, 1)
-                                )
-                            objective = objective_np(candidate)
-                            if objective > best_objective:
-                                best_objective = objective
-                                best_x = candidate
-                    if (
-                        best_x is not None
-                        and best_dual - best_objective
-                        <= gap_tolerance * max(1.0, abs(best_objective))
-                    ):
-                        used = k + 1
-                        self.stats["early_stops"] += 1
-                        break
-                    # Polyak step towards the best primal bound; the reduced
-                    # violation zeroes rows whose multiplier is pinned at 0.
-                    effective = np.where((mult > 0.0) | (violation > 0.0), violation, 0.0)
-                    norm2 = float(effective @ effective)
-                    step = (dual_value - best_objective) / max(norm2, 1e-12)
-                    if not (0.0 < step < step_cap):
-                        step = (
-                            step_cap
-                            if step >= step_cap
-                            else step_scale / math.sqrt(offset + k + 1.0)
-                        )
-                    mult = np.maximum(0.0, mult + step * violation)
-            else:
-                # Replay mode (``dual_tolerance=0``): the legacy solver's
-                # fixed subgradient schedule, checkpoints and final polish,
-                # reproduced exactly — the cross-check reference.
-                for k in range(max_iterations):
-                    prices = base_prices + membership_t @ mult
-                    x = best_response(prices)
-                    violation = membership @ x - capacities
-                    step = step_scale / math.sqrt(offset + k + 1.0)
-                    mult = np.maximum(0.0, mult + step * violation)
-                    if (k + 1) % check_every == 0 or k == max_iterations - 1:
-                        repaired = repair(x.copy())
-                        if is_feasible(repaired, tolerance):
-                            objective = objective_np(repaired)
-                            if objective > best_objective:
-                                best_objective = objective
-                                best_x = repaired
+                self.stats["direct_solves"] += 1
+                best_objective = _relaxed_objective(combo, best_x, V, q)
+        if direct:
+            pass
+        elif gap_tolerance > 0.0:
+            # Adaptive mode: Polyak-sized steps aimed at the best polished
+            # primal bound, with a duality-gap early stop.  The repaired
+            # subgradient iterate alone is a weak primal bound — polishing
+            # every candidate is what makes the gap certify within a
+            # handful of iterations (and what sizes the steps well).
+            polished_final = True
+            step_cap = 5.0 * step_scale
+            for k in range(max_iterations):
+                prices = membership_t.dot(mult)
+                prices += q
+                x = best_response(prices)
+                loads = membership.dot(x)
+                violation = loads - capacities
+                dual_value = _relaxed_objective(combo, x, V, q)
+                dual_value -= float(mult.dot(violation))
+                improved = dual_value < best_dual
+                if improved:
+                    best_dual = dual_value
+                    best_mult = mult
+                if improved or k == 0:
+                    # A tighter dual iterate is also the better primal
+                    # candidate; repairing/polishing only then skips the
+                    # oscillating iterates.  One polish round tightens
+                    # the primal bound enough for the gap test; the
+                    # winner gets the remaining rounds after the loop.
+                    repaired, repaired_loads = repair(x.copy(), loads, violation)
+                    repaired_loads = feasible_loads(repaired, repaired_loads)
+                    if repaired_loads is not None:
+                        if x_unconstrained is not None:
+                            candidate = fast_polish(repaired, repaired_loads)
+                        else:
+                            candidate = polish(
+                                repaired, rounds=min(options.polish_rounds, 1)
+                            )
+                        objective = _relaxed_objective(combo, candidate, V, q)
+                        if objective > best_objective:
+                            best_objective = objective
+                            best_x = candidate
+                if (
+                    best_x is not None
+                    and best_dual - best_objective
+                    <= gap_tolerance * max(1.0, abs(best_objective))
+                ):
+                    used = k + 1
+                    self.stats["early_stops"] += 1
+                    break
+                # Polyak step towards the best primal bound; the reduced
+                # violation zeroes rows whose multiplier is pinned at 0.
+                effective = np.where((mult > 0.0) | (violation > 0.0), violation, 0.0)
+                norm2 = float(effective.dot(effective))
+                step = (dual_value - best_objective) / max(norm2, 1e-12)
+                if not (0.0 < step < step_cap):
+                    step = (
+                        step_cap
+                        if step >= step_cap
+                        else step_scale / math.sqrt(offset + k + 1.0)
+                    )
+                mult = np.maximum(0.0, mult + step * violation)
+        else:
+            # Replay mode (``dual_tolerance=0``): the legacy solver's
+            # fixed subgradient schedule, checkpoints and final polish,
+            # reproduced exactly — the cross-check reference.
+            for k in range(max_iterations):
+                prices = membership_t.dot(mult)
+                prices += q
+                x = best_response(prices)
+                loads = membership.dot(x)
+                violation = loads - capacities
+                step = step_scale / math.sqrt(offset + k + 1.0)
+                mult = np.maximum(0.0, mult + step * violation)
+                if (k + 1) % check_every == 0 or k == max_iterations - 1:
+                    repaired, repaired_loads = repair(x.copy(), loads, violation)
+                    if feasible_loads(repaired, repaired_loads) is not None:
+                        objective = _relaxed_objective(combo, repaired, V, q)
+                        if objective > best_objective:
+                            best_objective = objective
+                            best_x = repaired
 
         self.stats["dual_iterations"] += used
         if warm_enabled:
@@ -1193,17 +1314,16 @@ class SlotKernel:
             # budget row).
             if direct:
                 final_mult = direct_mult
-                final_offset = min(offset + used, options.step_offset_cap)
             else:
                 final_mult = mult if best_mult is None else best_mult
-                final_offset = min(offset + used, options.step_offset_cap)
+            final_offset = min(offset + used, options.step_offset_cap)
             structure.warm_mult[order_array] = final_mult
             structure.warm_ready = True
             structure.step_offset = final_offset
             structure.combo_warm[combo_key] = (final_mult, final_offset)
 
         if best_x is None:
-            best_x = repair(x.copy())
+            best_x = repair(x.copy())[0]
             polished_final = False
         if direct:
             # The direct solutions are exact optima of the separable concave
@@ -1250,72 +1370,55 @@ class SlotKernel:
         best_x: np.ndarray,
         used: int,
     ) -> "AllocationOutcome":
-        """Round a (polished) relaxed point and build the cached outcome."""
-        structure = self._structure
+        """Round a (polished) relaxed point and build the cached outcome.
+
+        Runs under the caller's ``np.errstate``.
+        """
         V = self._utility_weight
         q = self._cost_weight
-        p = combo.p
-        p_list = combo.p_list
         membership = combo.membership
         lower = combo.lower
         tolerance = self._options.feasibility_tolerance
 
-        def objective_np(x: np.ndarray) -> float:
-            if combo.fast_path:
-                log_terms = np.log(-np.expm1(x * combo.neg_log1p))
-                return float(V * log_terms.sum() - q * x.sum())
-            log_terms = np.empty_like(x)
-            safe = p < 1.0
-            log_terms[safe] = np.log(-np.expm1(x[safe] * combo.neg_log1p[safe]))
-            log_terms[~safe] = 0.0
-            return float(V * log_terms.sum() - q * x.sum())
+        relaxed = ContinuousSolution(
+            values=tuple(best_x.tolist()),
+            objective=_relaxed_objective(combo, best_x, V, q),
+            feasible=not (
+                _any(best_x < lower - tolerance)
+                or _any(membership.dot(best_x) > capacities + tolerance)
+            ),
+            iterations=used,
+        )
 
-        def is_feasible(x: np.ndarray, tol: float) -> bool:
-            if np.any(x < lower - tol):
-                return False
-            return not np.any(membership @ x > capacities + tol)
-
-        def integer_objective(values: np.ndarray) -> float:
-            utility = 0.0
-            for p_i, value in zip(p_list, values):
-                utility += log_multi_channel_success(p_i, float(value))
-            return V * utility - q * float(values.sum())
-
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            best_objective = objective_np(best_x)
-            relaxed_feasible = is_feasible(best_x, tolerance)
-            relaxed = ContinuousSolution(
-                values=tuple(float(v) for v in best_x),
-                objective=best_objective,
-                feasible=relaxed_feasible,
-                iterations=used,
-            )
-
-            # ----- down-round and hand out the surplus ------------------- #
-            floored = np.maximum(np.floor(best_x + 1e-9), 1.0)
-            if not (relaxed_feasible and is_feasible(floored, 1e-6)):
-                rounded = IntegerSolution(
-                    values=tuple(int(v) for v in floored),
-                    objective=integer_objective(floored),
-                    feasible=False,
-                )
-                return self._build_outcome(memo_key, keys, relaxed, rounded)
-
-            loads = membership @ floored
-            slack_total = float(np.sum(np.maximum(capacities - loads, 0.0)))
-            surplus_pass(
-                floored, upper, p, V, q, loads, capacities, combo.rows_local,
-                int(slack_total) + combo.n,
-            )
-            objective = integer_objective(floored)
-            if not math.isfinite(objective):
-                objective = float("-inf")
+        # ----- down-round and hand out the surplus ----------------------- #
+        floored = np.maximum(np.floor(best_x + 1e-9), 1.0)
+        loads: Optional[np.ndarray] = None
+        if relaxed.feasible and not _any(floored < lower - 1e-6):
+            loads = membership.dot(floored)
+            if _any(loads > capacities + 1e-6):
+                loads = None
+        if loads is None:
+            values = floored.tolist()
             rounded = IntegerSolution(
-                values=tuple(int(v) for v in floored),
-                objective=objective,
-                feasible=True,
+                values=tuple(map(int, values)),
+                objective=_integer_objective(combo.p_list, values, V, q),
+                feasible=False,
             )
             return self._build_outcome(memo_key, keys, relaxed, rounded)
+
+        slack_total = float(_add_reduce(np.maximum(capacities - loads, 0.0)))
+        surplus_pass(
+            floored, upper, combo.p, V, q, loads, capacities, combo.rows_local,
+            int(slack_total) + combo.n,
+        )
+        values = floored.tolist()
+        objective = _integer_objective(combo.p_list, values, V, q)
+        if not math.isfinite(objective):
+            objective = float("-inf")
+        rounded = IntegerSolution(
+            values=tuple(map(int, values)), objective=objective, feasible=True
+        )
+        return self._build_outcome(memo_key, keys, relaxed, rounded)
 
     def _build_outcome(
         self,

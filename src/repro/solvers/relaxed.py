@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -90,55 +90,77 @@ def cyclic_coordinate_polish(
     Each coordinate is set to its closed-form maximiser given the residual
     capacity of the constraints it belongs to (``var_rows[i]`` lists the
     constraint rows of variable ``i``; ``loads`` is updated in place
-    alongside ``x``).  Shared by :class:`DualDecompositionSolver` and the
-    compiled slot kernel so both paths polish to the same point; scalar
-    arithmetic per coordinate replaces the former per-coordinate
-    ``np.asarray([...])`` round trips.
+    alongside ``x``, a float array).  Shared by
+    :class:`DualDecompositionSolver` and the compiled slot kernel so both
+    paths polish to the same point.  The sweep runs on Python floats (the
+    same IEEE double operations as on NumPy scalars, without the boxing),
+    and each coordinate's unconstrained maximiser, which does not depend on
+    ``x``, is computed once rather than once per round.
     """
-    price = float(cost_weight)
     n = int(x.shape[0])
+    if rounds <= 0 or n == 0:
+        return x
+    price = float(cost_weight)
+    xs = x.tolist()
+    row_loads = loads.tolist()
+    caps = np.asarray(capacities, dtype=float).tolist()
+    lows = np.asarray(lower, dtype=float).tolist()
+    highs = np.asarray(upper, dtype=float).tolist()
+
+    # targets[i]: None takes the capacity-limited upper end, a float is
+    # clamped into [lo, hi] (a degenerate coordinate's target is lo itself).
+    targets: List[Optional[float]] = []
+    for i in range(n):
+        lo = lows[i]
+        if price <= 0.0:
+            target = None
+        else:
+            p_i = float(successes[i])
+            if p_i <= 0.0 or p_i >= 1.0:
+                target = lo
+            else:
+                a_i = -math.log1p(-min(p_i, 1.0 - 1e-15))
+                va_i = utility_weight * a_i
+                if va_i <= 0.0:
+                    # s would be +inf: the stationary point is 0,
+                    # clipped up to the lower bound.
+                    target = lo
+                else:
+                    s = price / va_i
+                    if s == 0.0:
+                        # Underflowed price: 1/s is +inf, the stationary
+                        # point exceeds any bound.
+                        target = None
+                    else:
+                        target = math.log1p(1.0 / s) / a_i
+        targets.append(target)
+
     for _ in range(rounds):
         for i in range(n):
-            hi = float(upper[i])
-            xi = float(x[i])
+            hi = highs[i]
+            xi = xs[i]
             rows = var_rows[i]
             for r in rows:
-                headroom = float(capacities[r]) - (float(loads[r]) - xi)
+                headroom = caps[r] - (row_loads[r] - xi)
                 if headroom < hi:
                     hi = headroom
-            lo = float(lower[i])
+            lo = lows[i]
             if hi < lo:
                 continue
-            if price <= 0.0:
+            best = targets[i]
+            if best is None:
                 best = hi
-            else:
-                p_i = float(successes[i])
-                if p_i <= 0.0 or p_i >= 1.0:
-                    best = lo
-                else:
-                    a_i = -math.log1p(-min(p_i, 1.0 - 1e-15))
-                    va_i = utility_weight * a_i
-                    if va_i <= 0.0:
-                        # s would be +inf: the stationary point is 0,
-                        # clipped up to the lower bound.
-                        best = lo
-                    else:
-                        s = price / va_i
-                        if s == 0.0:
-                            # Underflowed price: 1/s is +inf, the stationary
-                            # point exceeds any bound.
-                            best = hi
-                        else:
-                            best = math.log1p(1.0 / s) / a_i
-                            if best < lo:
-                                best = lo
-                            elif best > hi:
-                                best = hi
+            elif best < lo:
+                best = lo
+            elif best > hi:
+                best = hi
             delta = best - xi
             if abs(delta) > 1e-12:
                 for r in rows:
-                    loads[r] += delta
-                x[i] = best
+                    row_loads[r] += delta
+                xs[i] = best
+    x[:] = xs
+    loads[:] = row_loads
     return x
 
 

@@ -9,9 +9,9 @@ constraints still have slack, and the resulting integer solution satisfies
 ``Δ``-optimality bound of Proposition 2.
 
 The surplus pass operates on flat arrays (:func:`surplus_pass`) so the same
-vectorised routine serves both the legacy object path and the compiled slot
-kernel — the per-coordinate Python loop that used to recompute every
-marginal gain on every pass is gone.
+routine serves both the legacy object path and the compiled slot kernel:
+the initial marginal gains are vectorised, and each increment updates only
+the one gain and the few rows it touches.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.network.channels import log_multi_channel_success
+from repro.network.channels import log_multi_channel_success_unchecked as _log_success
 from repro.solvers.allocation_problem import (
     AllocationProblem,
     ContinuousSolution,
@@ -43,9 +43,7 @@ def _marginal_gain(
     """
     if slot_success <= 0.0:
         return float("-inf")
-    gain = log_multi_channel_success(slot_success, value + 1.0) - log_multi_channel_success(
-        slot_success, value
-    )
+    gain = _log_success(slot_success, value + 1.0) - _log_success(slot_success, value)
     if math.isnan(gain):
         return float("-inf")
     return utility_weight * gain - cost_weight
@@ -70,26 +68,20 @@ def surplus_pass(
     marginal gain among those whose constraints all retain at least one unit
     of slack; near-ties (within 1e-12) resolve to the lowest index, matching
     the original scan order.
+
+    Eligibility only ever shrinks (values and loads only grow), so it is
+    gathered once and then maintained incrementally: after an increment only
+    the rows of the incremented variable can lose slack, and only the
+    members of a row that just ran out of it drop out.  The increments run
+    on Python floats: the same IEEE double operations as on NumPy scalars,
+    without a dispatch per tiny array.  The weights must be finite (a NaN
+    gain would make NumPy's and Python's maxima disagree).
     """
     n = int(values.shape[0])
     if n == 0 or max_passes <= 0:
         return
-    m = int(capacities.shape[0])
 
-    # Pad the per-variable row lists into a rectangular gather matrix; the
-    # dummy row m has infinite slack so it never masks anything.  A 2-D
-    # index array (the kernel's compiled form) is used as-is.
-    if isinstance(var_rows, np.ndarray) and var_rows.ndim == 2:
-        rows_matrix = var_rows
-    else:
-        width = max((len(rows) for rows in var_rows), default=0)
-        if width == 0:
-            rows_matrix = np.full((n, 1), m, dtype=np.intp)
-        else:
-            rows_matrix = np.full((n, width), m, dtype=np.intp)
-            for i, rows in enumerate(var_rows):
-                if len(rows):
-                    rows_matrix[i, : len(rows)] = rows
+    rows_of = var_rows.tolist() if isinstance(var_rows, np.ndarray) else var_rows
 
     # Initial marginal gains, vectorised: V·[log P(n+1) − log P(n)] − q with
     # the degenerate probabilities pinned exactly as _marginal_gain pins them.
@@ -103,31 +95,54 @@ def surplus_pass(
     gains[p >= 1.0] = -cost_weight
     gains[np.isnan(gains)] = -math.inf
 
-    slack_ext = np.empty(m + 1, dtype=float)
-    slack_ext[m] = math.inf
+    current = values.tolist()
+    limits = upper.tolist()
+    row_loads = loads.tolist()
+    caps = capacities.tolist()
+    # ``masked`` is the gain of every still-eligible variable, -inf elsewhere.
+    masked = gains.tolist()
+    for i in range(n):
+        if current[i] + 1.0 <= limits[i] + 1e-9:
+            for r in rows_of[i]:
+                if not caps[r] - row_loads[r] >= 1.0 - 1e-9:
+                    masked[i] = -math.inf
+                    break
+        else:
+            masked[i] = -math.inf
     for _ in range(max_passes):
-        slack_ext[:m] = capacities - loads
-        eligible = (values + 1.0 <= upper + 1e-9) & (
-            slack_ext[rows_matrix].min(axis=1) >= 1.0 - 1e-9
-        )
-        masked = np.where(eligible, gains, -math.inf)
-        best_gain = float(masked.max())
+        best_gain = max(masked)
         if best_gain <= _GAIN_EPSILON:
             break
         if math.isinf(best_gain):
-            best_index = int(np.argmax(np.isposinf(masked)))
+            best_index = masked.index(math.inf)
         else:
-            best_index = int(np.argmax(masked > best_gain - _GAIN_EPSILON))
-        values[best_index] += 1.0
-        rows = var_rows[best_index]
-        if len(rows):
-            loads[np.asarray(rows, dtype=np.intp)] += 1.0
-        gains[best_index] = _marginal_gain(
-            float(slot_successes[best_index]),
-            float(values[best_index]),
-            utility_weight,
-            cost_weight,
+            # The first gain within epsilon of the best.  A gain so large
+            # that subtracting epsilon leaves it unchanged has nothing
+            # compare greater; index 0 is then taken, as it always was.
+            cutoff = best_gain - _GAIN_EPSILON
+            for best_index, gain in enumerate(masked):
+                if gain > cutoff:
+                    break
+            else:
+                best_index = 0
+        value = current[best_index] + 1.0
+        current[best_index] = value
+        gain = _marginal_gain(
+            float(slot_successes[best_index]), value, utility_weight, cost_weight
         )
+        masked[best_index] = (
+            gain if value + 1.0 <= limits[best_index] + 1e-9 else -math.inf
+        )
+        # A repeated row is loaded once, as ``loads[rows] += 1`` would.
+        for r in dict.fromkeys(rows_of[best_index]):
+            load = row_loads[r] + 1.0
+            row_loads[r] = load
+            if not caps[r] - load >= 1.0 - 1e-9:
+                for i, rows in enumerate(rows_of):
+                    if r in rows:
+                        masked[i] = -math.inf
+    values[:] = current
+    loads[:] = row_loads
 
 
 def round_down_with_surplus(
