@@ -248,9 +248,17 @@ def structure_signature(graph: "QDNGraph") -> Tuple:
 
 
 class _RouteBlock:
-    """Compiled arrays of one candidate route (request-independent)."""
+    """Compiled arrays of one candidate route (request-independent).
 
-    __slots__ = ("index", "edge_keys", "p", "p_list", "row_triples", "hops")
+    ``row_triples[h]`` holds the (tail node, head node, edge) registry rows of
+    hop ``h``; ``node_rows`` and ``edge_rows`` list them in first-touch
+    order, and ``degenerate`` marks a route with a ``p_e`` of 0 or 1.
+    """
+
+    __slots__ = (
+        "index", "edge_keys", "p", "p_list", "row_triples", "hops",
+        "node_rows", "edge_rows", "degenerate",
+    )
 
     def __init__(
         self,
@@ -265,6 +273,10 @@ class _RouteBlock:
         self.p_list = [float(v) for v in p]
         self.row_triples = row_triples
         self.hops = len(edge_keys)
+        triples = row_triples.tolist()
+        self.node_rows = [row for u_row, v_row, _ in triples for row in (u_row, v_row)]
+        self.edge_rows = [e_row for _, _, e_row in triples]
+        self.degenerate = any(v <= 0.0 or v >= 1.0 for v in self.p_list)
 
 
 class _ComboStructure:
@@ -313,8 +325,10 @@ class _ComboStructure:
         # orders them (nodes by first touch, then edges, then the budget) so
         # the repair pass visits them in the same sequence and the
         # membership products sum in the same order.
-        order: List[int] = list(dict.fromkeys(triples[:, :2].ravel().tolist()))
-        order.extend(dict.fromkeys(triples[:, 2].tolist()))
+        order: List[int] = list(
+            dict.fromkeys([row for block in blocks for row in block.node_rows])
+        )
+        order.extend(dict.fromkeys([row for block in blocks for row in block.edge_rows]))
         if budget_row is not None:
             order.append(budget_row)
             triples = np.concatenate(
@@ -337,8 +351,7 @@ class _ComboStructure:
         self._var_rows: Optional[List[List[int]]] = None
         self._row_members: Optional[List[np.ndarray]] = None
 
-        degenerate = (p <= 0.0) | (p >= 1.0)
-        self.fast_path = not _any(degenerate)
+        self.fast_path = not any(block.degenerate for block in blocks)
         self.a = -np.log1p(-_clip(p, 0.0, 1.0 - 1e-15))
         self.neg_log1p = np.log1p(-p)
 
@@ -748,9 +761,34 @@ class SlotKernel:
 
         flat_rows = (np.arange(C)[:, None, None] * (M + 1) + rows_b).reshape(-1)
 
-        def per_variable(rows: np.ndarray) -> np.ndarray:
-            """``rows[c, rows_b[c]]``: each variable's row values, ``(C, N, width)``."""
-            return rows.reshape(-1)[flat_rows].reshape(C, N, width)
+        flat_columns = [
+            np.arange(C)[:, None] * (M + 1) + rows_b[:, :, j] for j in range(width)
+        ]
+
+        # Per-variable reductions over each variable's ``width`` (3 or 4) rows
+        # run as a chain of elementwise operations over the row columns,
+        # several times cheaper than a ufunc reduce over a short last axis.
+        # A minimum does not depend on the order it is taken in.  A sum of
+        # fewer than eight terms is what ``np.add.reduce`` computes too: one
+        # term after another (tests/test_kernel_oracles.py pins this down);
+        # it starts from zero rather than the first term, which only differs
+        # for a first term of -0.0, and multipliers are never -0.0.
+
+        def min_over_rows(rows: np.ndarray) -> np.ndarray:
+            """Each variable's minimum over its rows, ``(C, N)``."""
+            flat = rows.reshape(-1)
+            result = flat[flat_columns[0]]
+            for column in flat_columns[1:]:
+                np.minimum(result, flat[column], out=result)
+            return result
+
+        def sum_over_rows(rows: np.ndarray) -> np.ndarray:
+            """Each variable's sum over its rows, ``(C, N)``."""
+            flat = rows.reshape(-1)
+            result = flat[flat_columns[0]]
+            for column in flat_columns[1:]:
+                result += flat[column]
+            return result
 
         def batch_loads(x: np.ndarray) -> np.ndarray:
             return np.bincount(
@@ -789,7 +827,7 @@ class SlotKernel:
                 1.0,
             )
             _clip(s_row, 0.0, 1.0, out=s_row)
-            s_var = _min_reduce(per_variable(s_row), axis=-1)
+            s_var = min_over_rows(s_row)
             return lower_b + (x - lower_b) * s_var
 
         def batch_polish(x: np.ndarray) -> np.ndarray:
@@ -797,11 +835,11 @@ class SlotKernel:
             batch counterpart of the sequential ``fast_polish``)."""
             loads = batch_loads(x)
             slack = caps_b - loads
-            head = _min_reduce(per_variable(slack), axis=-1)
+            head = min_over_rows(slack)
             raise_by = _clip(x_unc - x, 0.0, np.maximum(head, 0.0))
             inc = batch_loads(raise_by)
             ratios = np.where(inc > 0.0, slack / inc, 1.0)
-            scale = np.minimum(1.0, _min_reduce(per_variable(ratios), axis=-1))
+            scale = np.minimum(1.0, min_over_rows(ratios))
             lower_by = _clip(x - x_unc, 0.0, x - lower_b)
             return x + raise_by * np.maximum(scale, 0.0) - lower_by
 
@@ -843,7 +881,7 @@ class SlotKernel:
         max_iterations = options.dual_iterations
 
         for k in range(max_iterations):
-            prices = _add_reduce(per_variable(mult), axis=-1)
+            prices = sum_over_rows(mult)
             prices += q
             x = batch_best_response(prices)
             loads = batch_loads(x)

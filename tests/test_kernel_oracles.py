@@ -281,6 +281,35 @@ class TestCyclicPolishOracle:
 
 
 # --------------------------------------------------------------------------- #
+# Short per-variable reductions in the batched dual ascent
+# --------------------------------------------------------------------------- #
+class TestShortReductionChains:
+    """The batched solve folds each variable's 3 or 4 row values with a chain
+    of elementwise operations instead of a ufunc reduce over the last axis;
+    that is exact only while NumPy sums fewer than eight terms in order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(3, 4),
+        st.integers(1, 40),
+        st.integers(1, 15),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_chains_equal_numpy_reductions(self, width, combos, variables, seed):
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-3, 1.0, 1e3], size=(combos, variables, width))
+        values = rng.random((combos, variables, width)) * scale
+        values[rng.random(values.shape) < 0.2] = 0.0
+        total = values[..., 0].copy()
+        smallest = values[..., 0].copy()
+        for j in range(1, width):
+            total += values[..., j]
+            np.minimum(smallest, values[..., j], out=smallest)
+        assert_identical(total, np.add.reduce(values, axis=-1))
+        assert_identical(smallest, np.minimum.reduce(values, axis=-1))
+
+
+# --------------------------------------------------------------------------- #
 # Whole selections: shipped helpers vs the oracles patched into the kernel
 # --------------------------------------------------------------------------- #
 def slot_contexts(graph_seed: int, trace_seed: int):
