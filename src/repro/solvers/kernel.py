@@ -251,8 +251,9 @@ class _RouteBlock:
     """Compiled arrays of one candidate route (request-independent).
 
     ``row_triples[h]`` holds the (tail node, head node, edge) registry rows of
-    hop ``h``; ``node_rows`` and ``edge_rows`` list them in first-touch
-    order, and ``degenerate`` marks a route with a ``p_e`` of 0 or 1.
+    hop ``h``; ``node_rows`` (tail and head of each hop) and ``edge_rows``
+    list them hop by hop, and ``degenerate`` marks a route with a ``p_e``
+    of 0 or 1.
     """
 
     __slots__ = (
@@ -328,7 +329,9 @@ class _ComboStructure:
         order: List[int] = list(
             dict.fromkeys([row for block in blocks for row in block.node_rows])
         )
-        order.extend(dict.fromkeys([row for block in blocks for row in block.edge_rows]))
+        order.extend(
+            dict.fromkeys([row for block in blocks for row in block.edge_rows])
+        )
         if budget_row is not None:
             order.append(budget_row)
             triples = np.concatenate(
