@@ -21,13 +21,12 @@ def merge_stat_mappings(
 ) -> Optional[Dict[str, object]]:
     """Sum counter mappings key by key; ``None`` when none are present.
 
-    The single merge implementation behind the kernel-stats and
-    physical-stats aggregation (``RunRecord.kernel_stats()`` /
-    ``physical_stats()`` and their ``StudyResult`` counterparts).
-    Non-mapping entries contribute nothing — results without diagnostics are
-    simply skipped.  ``cast`` coerces each value before summing (the kernel
-    merge uses ``int``); without it values keep their numeric type, so float
-    accumulators like a fidelity sum stay floats.
+    The merge of every diagnostics family but telemetry
+    (:data:`repro.api.layers.STATS_FAMILIES`).  Non-mapping entries
+    contribute nothing — results without diagnostics are simply skipped.
+    ``cast`` coerces each value before summing (the kernel, fault and guard
+    counters use ``int``); without it values keep their numeric type, so
+    float accumulators like a fidelity sum stay floats.
     """
     totals: Dict[str, object] = {}
     found = False

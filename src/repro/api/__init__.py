@@ -87,7 +87,6 @@ from repro.faults import (
     WorkerPoolError,
     checkpoint_key,
     fault_availability,
-    merge_fault_stats,
 )
 from repro.api.study import (
     ResultStore,
@@ -202,7 +201,6 @@ __all__ = [
     "WorkerPoolError",
     "checkpoint_key",
     "fault_availability",
-    "merge_fault_stats",
     # serving
     "AdmissionPolicy",
     "AlwaysAdmit",

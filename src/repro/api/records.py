@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.stats import TrialAggregate
+from repro.api.layers import LayerStatsAccessors, merge_layer
 from repro.core.multiuser import ProviderSlotRecord
 from repro.experiments.config import ExperimentConfig
 from repro.simulation.results import SimulationResult
@@ -28,20 +29,6 @@ PathLike = Union[str, Path]
 
 #: Schema version written into every persisted record.
 SCHEMA_VERSION = 1
-
-
-def merge_kernel_stats(stats_mappings) -> Optional[Dict[str, int]]:
-    """Sum integer kernel-counter mappings; ``None`` when none are present.
-
-    The merge behind :meth:`RunRecord.kernel_stats`,
-    :meth:`repro.api.study.StudyResult.kernel_stats` and the horizon
-    benchmark — a thin cast-to-int wrapper over
-    :func:`repro.analysis.stats.merge_stat_mappings` (the physical-stats
-    merge shares the same implementation without the cast).
-    """
-    from repro.analysis.stats import merge_stat_mappings
-
-    return merge_stat_mappings(stats_mappings, cast=int)
 
 
 def _provider_record_to_dict(record: ProviderSlotRecord) -> Dict[str, object]:
@@ -69,7 +56,7 @@ def _provider_record_from_dict(payload: Mapping) -> ProviderSlotRecord:
 
 
 @dataclass
-class RunRecord:
+class RunRecord(LayerStatsAccessors):
     """Everything one scenario run produced.
 
     Attributes
@@ -92,8 +79,8 @@ class RunRecord:
     telemetry:
         The persisted telemetry section (``{"stats": ..., "spans": ...}``)
         restored from JSON.  Freshly-run records carry telemetry inside
-        the per-result diagnostics instead; the accessors below prefer the
-        live diagnostics and fall back to this section, and
+        the per-result diagnostics instead; ``layer_stats("telemetry")``
+        prefers the live diagnostics and falls back to this section, and
         :meth:`to_dict` persists whichever is present — the one
         diagnostics family that survives a save/load round-trip.
     """
@@ -164,145 +151,21 @@ class RunRecord:
             "channels": sum(r.channel_utilisation for r in records) / len(records),
         }
 
-    def kernel_stats(self) -> Optional[Dict[str, int]]:
-        """Aggregate compiled-kernel statistics across trials and line-up.
+    def layer_stats(self, name: str) -> Optional[Dict[str, float]]:
+        """Diagnostics family ``name`` summed over every trial and line-up entry.
 
-        Sums the per-policy ``diagnostics["kernel"]`` counters (solves,
-        cache/memo hits, structure re-binds vs recompiles, dual iterations,
-        …) every horizon produced.  Returns ``None`` when no result carries
-        kernel diagnostics — legacy-solver runs, runs with the kernel cache
-        disabled, or records loaded from JSON (diagnostics are in-memory
-        only).
+        Telemetry falls back to the persisted ``telemetry`` section when no
+        result carries live telemetry diagnostics.
         """
-        return merge_kernel_stats(
-            result.diagnostics.get("kernel")
-            for trial in self.trials
-            for result in trial.values()
+        merged = merge_layer(
+            name,
+            (result.diagnostics.get(name) for trial in self.trials for result in trial.values()),
         )
-
-    def physical_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregate physical-layer statistics across trials and line-up.
-
-        Sums the per-run ``diagnostics["physical"]`` counters every
-        physical-layer engine produced (attempts, purification rounds and
-        failures, cutoff discards, swap failures, deliveries, raw pairs
-        consumed, delivered-fidelity sum — see
-        :class:`repro.simulation.physical.PhysicalStats`).  Returns ``None``
-        when no result carries physical diagnostics: runs with the physical
-        layer disabled, or records loaded from JSON (diagnostics are
-        in-memory only, exactly like :meth:`kernel_stats`).
-        """
-        from repro.simulation.physical import merge_physical_stats
-
-        return merge_physical_stats(
-            result.diagnostics.get("physical")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def event_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregate event-backend statistics across trials and line-up.
-
-        Sums the per-run ``diagnostics["eventsim"]`` counters the
-        event-driven backend produced (events processed, pairs generated,
-        heralds, swap messages, confirmations, deadline misses,
-        cutoff-expired pairs, deliveries — see
-        :class:`repro.simulation.eventsim.EventStats`).  Returns ``None``
-        when no result carries event diagnostics: slotted-backend runs, or
-        records loaded from JSON (diagnostics are in-memory only, exactly
-        like :meth:`kernel_stats`).
-        """
-        from repro.simulation.eventsim import merge_event_stats
-
-        return merge_event_stats(
-            result.diagnostics.get("eventsim")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def serving_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregate serving-layer statistics across trials.
-
-        Sums the per-run ``diagnostics["serving"]`` counters the serving
-        scheduler produced (sessions arrived/admitted/rejected/departed,
-        requests arrived/served/dropped, sojourn slots, cost, the Jain
-        fairness raw moments, simulated seconds — see
-        :class:`repro.serving.scheduler.ServingSimulator`).  Returns
-        ``None`` when no result carries serving diagnostics: batch runs, or
-        records loaded from JSON (diagnostics are in-memory only, exactly
-        like :meth:`kernel_stats`).
-        """
-        from repro.serving.scheduler import merge_serving_stats
-
-        return merge_serving_stats(
-            result.diagnostics.get("serving")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def fault_stats(self) -> Optional[Dict[str, int]]:
-        """Aggregate fault-injection statistics across trials and line-up.
-
-        Sums the per-run ``diagnostics["faults"]`` counters the simulators
-        produced under an active fault schedule (element downtime, degraded
-        slots, failures/repairs, unservable and interrupted requests — see
-        :class:`repro.faults.FaultStats`).  Returns ``None`` when no result
-        carries fault diagnostics: fault-free runs, or records loaded from
-        JSON (diagnostics are in-memory only, exactly like
-        :meth:`kernel_stats`).
-        """
-        from repro.faults import merge_fault_stats
-
-        return merge_fault_stats(
-            result.diagnostics.get("faults")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def guard_stats(self) -> Optional[Dict[str, int]]:
-        """Aggregate invariant-guard check counters across trials and line-up.
-
-        Sums the per-run ``diagnostics["guard"]`` counters an armed
-        :class:`repro.guard.InvariantGuard` produced (slots observed, checks
-        executed per layer pack, breaches).  Returns ``None`` when no result
-        carries guard diagnostics: ``guard_level="off"`` runs, or records
-        loaded from JSON (diagnostics are in-memory only, exactly like
-        :meth:`kernel_stats`).
-        """
-        from repro.guard.invariants import merge_guard_stats
-
-        return merge_guard_stats(
-            result.diagnostics.get("guard")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def telemetry_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregate telemetry statistics across trials and line-up.
-
-        Sums the per-run ``diagnostics["telemetry"]`` mappings an armed
-        :class:`repro.telemetry.Tracer` produced (per-span wall/CPU
-        profiles, counters, gauges, latency histograms) with the
-        deterministic sorted-key merge.  Unlike the other diagnostics
-        families, telemetry survives persistence: when no live
-        diagnostics are present (records loaded from JSON) the accessor
-        falls back to the stored ``telemetry`` section.  ``None`` for
-        untraced runs and legacy payloads.
-        """
-        from repro.telemetry.tracer import merge_telemetry_stats
-
-        merged = merge_telemetry_stats(
-            result.diagnostics.get("telemetry")
-            for trial in self.trials
-            for result in trial.values()
-        )
-        if merged is not None:
-            return merged
-        if self.telemetry:
+        if merged is None and name == "telemetry" and self.telemetry:
             stored = self.telemetry.get("stats")
             if isinstance(stored, Mapping):
                 return dict(stored)
-        return None
+        return merged
 
     def telemetry_spans(self) -> List[Dict[str, object]]:
         """All span events of the run, stamped with line-up and trial.

@@ -27,6 +27,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.api.layers import CONFIG_GROUPS
 from repro.api.registry import PolicyRegistry, default_registry
 from repro.core.multiuser import QDNUser
 from repro.core.policy import RoutingPolicy
@@ -49,59 +50,6 @@ WORKLOAD_KINDS = {
 
 #: Anything :meth:`Scenario.with_policies` accepts as one line-up entry.
 PolicyLike = Union[str, "PolicySpec", Tuple[str, Mapping], Mapping]
-
-#: The fields of :class:`ExperimentConfig` grouped by builder method, used to
-#: give precise errors when an override lands in the wrong ``with_*`` call.
-TOPOLOGY_FIELDS = frozenset(
-    {
-        "topology_kind", "num_nodes", "area", "waxman_alpha", "target_degree",
-        "qubit_capacity_min", "qubit_capacity_max",
-        "channel_capacity_min", "channel_capacity_max",
-        "attempt_success", "attempts_per_slot",
-    }
-)
-WORKLOAD_FIELDS = frozenset(
-    {"horizon", "min_pairs", "max_pairs", "num_candidate_routes", "max_extra_hops"}
-)
-BUDGET_FIELDS = frozenset(
-    {"total_budget", "trade_off_v", "initial_queue", "gamma"}
-)
-SOLVER_FIELDS = frozenset(
-    {"use_kernel", "dual_tolerance", "kernel_cache", "solve_deadline"}
-)
-PHYSICAL_FIELDS = frozenset(
-    {
-        "physical_enabled", "physical_swap_success", "physical_link_fidelity",
-        "physical_memory_time", "physical_dwell_fraction",
-        "physical_purify_rounds", "physical_cutoff_fidelity",
-        "physical_fidelity_target", "physical_fidelity_constrained",
-        "physical_engine",
-    }
-)
-TIMING_FIELDS = frozenset(
-    {"backend", "signaling_latency_s", "edge_latency_s", "slot_guard_time_s"}
-)
-SERVING_FIELDS = frozenset(
-    {
-        "serving_enabled", "serving_arrival_kind", "serving_arrival_rate",
-        "serving_arrival_trace", "serving_session_rate",
-        "serving_session_lifetime", "serving_renew_probability",
-        "serving_session_budget", "serving_admission",
-        "serving_admission_threshold", "serving_token_rate",
-        "serving_token_burst", "serving_shards", "serving_merge_every",
-        "serving_shard_workers", "serving_shard_timeout_s",
-        "serving_min_availability",
-    }
-)
-FAULT_FIELDS = frozenset(
-    {
-        "fault_enabled", "fault_node_mtbf", "fault_edge_mtbf", "fault_mttr",
-        "fault_outages", "fault_aware",
-    }
-)
-GUARD_FIELDS = frozenset({"guard_level"})
-TELEMETRY_FIELDS = frozenset({"telemetry_level", "telemetry_span_ring"})
-
 
 def unsupported_backend_error(backend: str, feature: str, remedy: str) -> ValueError:
     """A targeted error for an unsupported ``backend × feature`` combination.
@@ -312,14 +260,16 @@ class Scenario:
         """Override arbitrary :class:`ExperimentConfig` fields."""
         return self._replace(config=self.config.with_overrides(**overrides))
 
-    def _with_fields(self, allowed: frozenset, method: str, overrides: Dict) -> "Scenario":
-        unknown = sorted(set(overrides) - allowed)
+    def _with_fields(self, group: str, overrides: Mapping) -> "Scenario":
+        spec = CONFIG_GROUPS[group]
+        mapped = {spec.field_name(key): value for key, value in overrides.items()}
+        unknown = sorted(set(mapped) - spec.fields)
         if unknown:
             raise TypeError(
-                f"{method}() got unexpected field(s) {', '.join(unknown)}; "
-                f"allowed: {', '.join(sorted(allowed))}"
+                f"{spec.builder}() got unexpected field(s) {', '.join(unknown)}; "
+                f"allowed: {', '.join(sorted(spec.fields))}"
             )
-        return self.with_config(**overrides)
+        return self.with_config(**mapped)
 
     def with_topology(self, kind: Optional[str] = None, **overrides) -> "Scenario":
         """Configure the network (``num_nodes``, ``target_degree``, capacities, …).
@@ -339,17 +289,17 @@ class Scenario:
                     f"choose from {', '.join(TOPOLOGY_KINDS)}"
                 )
             overrides["topology_kind"] = kind
-        return self._with_fields(TOPOLOGY_FIELDS, "with_topology", overrides)
+        return self._with_fields("topology", overrides)
 
     def with_workload(self, **overrides) -> "Scenario":
         """Configure the trace (``horizon``, ``min_pairs``/``max_pairs``, routes)."""
-        return self._with_fields(WORKLOAD_FIELDS, "with_workload", overrides)
+        return self._with_fields("workload", overrides)
 
     def with_budget(self, total_budget: Optional[float] = None, **overrides) -> "Scenario":
         """Configure the budget and Lyapunov parameters (``trade_off_v``, …)."""
         if total_budget is not None:
             overrides["total_budget"] = float(total_budget)
-        return self._with_fields(BUDGET_FIELDS, "with_budget", overrides)
+        return self._with_fields("budget", overrides)
 
     def with_solver(self, fast: Optional[bool] = None, **overrides) -> "Scenario":
         """Configure the per-slot solver fast path.
@@ -371,7 +321,7 @@ class Scenario:
         """
         if fast is not None:
             overrides["use_kernel"] = bool(fast)
-        return self._with_fields(SOLVER_FIELDS, "with_solver", overrides)
+        return self._with_fields("solver", overrides)
 
     def with_physical(self, enabled: bool = True, **overrides) -> "Scenario":
         """Configure the physical delivery co-simulation layer.
@@ -396,11 +346,7 @@ class Scenario:
         implementation — bit-identical under the same seeds.
         ``with_physical(False)`` switches the layer back off.
         """
-        mapped: Dict[str, object] = {"physical_enabled": bool(enabled)}
-        for key, value in overrides.items():
-            name = key if key.startswith("physical_") else f"physical_{key}"
-            mapped[name] = value
-        return self._with_fields(PHYSICAL_FIELDS, "with_physical", mapped)
+        return self._with_fields("physical", {"physical_enabled": bool(enabled), **overrides})
 
     def with_backend(self, backend: str = "event", **overrides) -> "Scenario":
         """Select the simulation backend and its timing configuration.
@@ -423,15 +369,7 @@ class Scenario:
         zero latency the event backend reproduces the slotted backend's
         realised outcomes exactly.
         """
-        aliases = {
-            "latency": "signaling_latency_s",
-            "edge_latencies": "edge_latency_s",
-            "guard_time": "slot_guard_time_s",
-        }
-        mapped: Dict[str, object] = {"backend": str(backend)}
-        for key, value in overrides.items():
-            mapped[aliases.get(key, key)] = value
-        return self._with_fields(TIMING_FIELDS, "with_backend", mapped)
+        return self._with_fields("timing", {"backend": str(backend), **overrides})
 
     def with_serving(self, enabled: bool = True, **overrides) -> "Scenario":
         """Configure the open-system serving layer (:mod:`repro.serving`).
@@ -456,11 +394,7 @@ class Scenario:
         scheduler — results are byte-identical for any shard layout under a
         fixed seed.  ``with_serving(False)`` switches the layer back off.
         """
-        mapped: Dict[str, object] = {"serving_enabled": bool(enabled)}
-        for key, value in overrides.items():
-            name = key if key.startswith("serving_") else f"serving_{key}"
-            mapped[name] = value
-        return self._with_fields(SERVING_FIELDS, "with_serving", mapped)
+        return self._with_fields("serving", {"serving_enabled": bool(enabled), **overrides})
 
     def with_faults(self, enabled: bool = True, **overrides) -> "Scenario":
         """Configure the deterministic fault-injection layer (:mod:`repro.faults`).
@@ -487,11 +421,7 @@ class Scenario:
         trace or realization draws — and fault-free runs stay
         byte-identical.  ``with_faults(False)`` switches the layer off.
         """
-        mapped: Dict[str, object] = {"fault_enabled": bool(enabled)}
-        for key, value in overrides.items():
-            name = key if key.startswith("fault_") else f"fault_{key}"
-            mapped[name] = value
-        return self._with_fields(FAULT_FIELDS, "with_faults", mapped)
+        return self._with_fields("faults", {"fault_enabled": bool(enabled), **overrides})
 
     def with_guard(self, level: str = "cheap") -> "Scenario":
         """Arm the runtime invariant guard (:mod:`repro.guard`).
@@ -506,7 +436,7 @@ class Scenario:
         ``REPRO_GUARD`` environment variable overrides the level at run
         time without changing the scenario's identity.
         """
-        return self._with_fields(GUARD_FIELDS, "with_guard", {"guard_level": str(level)})
+        return self._with_fields("guard", {"guard_level": str(level)})
 
     def with_telemetry(self, level: str = "light", **overrides) -> "Scenario":
         """Arm the observability layer (:mod:`repro.telemetry`).
@@ -523,11 +453,7 @@ class Scenario:
         environment variable overrides the level at run time without
         changing the scenario's identity.
         """
-        mapped: Dict[str, object] = {"telemetry_level": str(level)}
-        for key, value in overrides.items():
-            name = key if key.startswith("telemetry_") else f"telemetry_{key}"
-            mapped[name] = value
-        return self._with_fields(TELEMETRY_FIELDS, "with_telemetry", mapped)
+        return self._with_fields("telemetry", {"telemetry_level": str(level), **overrides})
 
     def with_trials(self, trials: int) -> "Scenario":
         """Number of independent trials (fresh topology + trace each)."""

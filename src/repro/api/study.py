@@ -42,7 +42,6 @@ grid that shares points) loads those records instead of recomputing them.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -62,24 +61,10 @@ from typing import (
     Union,
 )
 
+from repro.api.layers import CONFIG_FIELDS, CONFIG_GROUPS, LayerStatsAccessors, merge_layer
 from repro.api.records import RunRecord
-from repro.api.scenario import (
-    BUDGET_FIELDS,
-    FAULT_FIELDS,
-    GUARD_FIELDS,
-    PHYSICAL_FIELDS,
-    SERVING_FIELDS,
-    SOLVER_FIELDS,
-    TELEMETRY_FIELDS,
-    TIMING_FIELDS,
-    TOPOLOGY_FIELDS,
-    WORKLOAD_FIELDS,
-    PolicyLike,
-    PolicySpec,
-    Scenario,
-)
+from repro.api.scenario import PolicyLike, PolicySpec, Scenario
 from repro.api.session import execute_trial
-from repro.experiments.config import ExperimentConfig
 from repro.faults import PoolSupervisor
 from repro.network.topology import TOPOLOGY_KINDS
 from repro.simulation.engine import build_simulator
@@ -94,42 +79,18 @@ PathLike = Union[str, Path]
 #: Schema version written into every persisted study result.
 STUDY_SCHEMA_VERSION = 1
 
-#: Dotted-path prefixes accepted by :meth:`Study.over`, mapped to the field
-#: group they must resolve into (``config`` accepts any field).
-_AXIS_GROUPS: Dict[str, Optional[frozenset]] = {
-    "topology": TOPOLOGY_FIELDS,
-    "workload": WORKLOAD_FIELDS,
-    "budget": BUDGET_FIELDS,
-    "solver": SOLVER_FIELDS,
-    "physical": PHYSICAL_FIELDS,
-    "timing": TIMING_FIELDS,
-    "serving": SERVING_FIELDS,
-    "faults": FAULT_FIELDS,
-    "guard": GUARD_FIELDS,
-    "telemetry": TELEMETRY_FIELDS,
-    "config": None,
-}
-
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def resolve_config_path(path: str) -> str:
     """Resolve a (dotted) axis path to the :class:`ExperimentConfig` field.
 
     ``"topology.num_nodes"`` → ``"num_nodes"`` (validated against the
-    topology field group), ``"budget.total_budget"`` → ``"total_budget"``,
-    plain ``"horizon"`` → ``"horizon"``.  ``"topology.kind"`` is accepted as
-    an alias for ``topology_kind``, the ``physical`` group accepts the
-    short field names (``"physical.swap_success"`` →
-    ``"physical_swap_success"``), the ``serving`` group likewise
-    (``"serving.arrival_rate"`` → ``"serving_arrival_rate"``), the
-    ``faults`` group likewise (``"faults.node_mtbf"`` →
-    ``"fault_node_mtbf"``), the ``telemetry`` group likewise
-    (``"telemetry.level"`` → ``"telemetry_level"``), and the ``timing``
-    group accepts the
-    :meth:`Scenario.with_backend` aliases (``"timing.latency"`` →
-    ``"signaling_latency_s"``, ``"timing.guard_time"`` →
-    ``"slot_guard_time_s"``).
+    topology field group), plain ``"horizon"`` → ``"horizon"``, and
+    ``"config.<field>"`` accepts any field.  A group also accepts its short
+    names and aliases from :data:`~repro.api.layers.CONFIG_GROUPS`:
+    ``"physical.swap_success"`` → ``"physical_swap_success"``,
+    ``"faults.node_mtbf"`` → ``"fault_node_mtbf"``, ``"topology.kind"`` →
+    ``"topology_kind"``, ``"timing.latency"`` → ``"signaling_latency_s"``.
     """
     parts = str(path).split(".")
     if len(parts) == 1:
@@ -138,37 +99,22 @@ def resolve_config_path(path: str) -> str:
         group, name = parts
     else:
         raise ValueError(f"axis path {path!r} has too many components (max one dot)")
-    if group == "topology" and name == "kind":
-        name = "topology_kind"
-    if group == "physical" and not name.startswith("physical_"):
-        name = f"physical_{name}"
-    if group == "serving" and not name.startswith("serving_"):
-        name = f"serving_{name}"
-    if group == "faults" and not name.startswith("fault_"):
-        name = f"fault_{name}"
-    if group == "telemetry" and not name.startswith("telemetry_"):
-        name = f"telemetry_{name}"
-    if group == "timing":
-        name = {
-            "latency": "signaling_latency_s",
-            "edge_latencies": "edge_latency_s",
-            "guard_time": "slot_guard_time_s",
-        }.get(name, name)
-    if group is not None:
-        if group not in _AXIS_GROUPS:
+    if group is not None and group != "config":
+        spec = CONFIG_GROUPS.get(group)
+        if spec is None:
             raise ValueError(
                 f"unknown axis group {group!r} in {path!r}; "
-                f"choose from {', '.join(sorted(_AXIS_GROUPS))}"
+                f"choose from {', '.join(sorted([*CONFIG_GROUPS, 'config']))}"
             )
-        allowed = _AXIS_GROUPS[group]
-        if allowed is not None and name not in allowed:
+        name = spec.field_name(name)
+        if name not in spec.fields:
             raise ValueError(
-                f"{name!r} is not a {group} field; allowed: {', '.join(sorted(allowed))}"
+                f"{name!r} is not a {group} field; allowed: {', '.join(sorted(spec.fields))}"
             )
-    if name not in _CONFIG_FIELDS:
+    if name not in CONFIG_FIELDS:
         raise ValueError(
             f"unknown config field {name!r} in axis path {path!r}; "
-            f"fields: {', '.join(sorted(_CONFIG_FIELDS))}"
+            f"fields: {', '.join(sorted(CONFIG_FIELDS))}"
         )
     return name
 
@@ -397,7 +343,7 @@ class ResultStore:
 # Study result
 # --------------------------------------------------------------------------- #
 @dataclass
-class StudyResult:
+class StudyResult(LayerStatsAccessors):
     """Everything one study run produced, aligned point by point.
 
     ``axes`` holds the JSON descriptions of the swept axes, ``points`` the
@@ -487,92 +433,9 @@ class StudyResult:
         """The legacy per-point :class:`ComparisonResult` views (grid order)."""
         return [record.to_comparison() for record in self.records]
 
-    def kernel_stats(self) -> Optional[Dict[str, int]]:
-        """Compiled-kernel statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.kernel_stats` across the study; points
-        served from the result store (or run on the legacy solver) carry no
-        kernel diagnostics and contribute nothing.  ``None`` when no point
-        carried any.
-        """
-        from repro.api.records import merge_kernel_stats
-
-        return merge_kernel_stats(record.kernel_stats() for record in self.records)
-
-    def physical_stats(self) -> Optional[Dict[str, float]]:
-        """Physical-layer statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.physical_stats` across the study; points
-        without a physical layer (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.simulation.physical import merge_physical_stats
-
-        return merge_physical_stats(record.physical_stats() for record in self.records)
-
-    def event_stats(self) -> Optional[Dict[str, float]]:
-        """Event-backend statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.event_stats` across the study; points
-        run on the slotted backend (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.simulation.eventsim import merge_event_stats
-
-        return merge_event_stats(record.event_stats() for record in self.records)
-
-    def serving_stats(self) -> Optional[Dict[str, float]]:
-        """Serving-layer statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.serving_stats` across the study; points
-        without the serving layer (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.serving.scheduler import merge_serving_stats
-
-        return merge_serving_stats(record.serving_stats() for record in self.records)
-
-    def fault_stats(self) -> Optional[Dict[str, int]]:
-        """Fault-injection statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.fault_stats` across the study; points
-        run without fault injection (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.faults import merge_fault_stats
-
-        return merge_fault_stats(record.fault_stats() for record in self.records)
-
-    def guard_stats(self) -> Optional[Dict[str, int]]:
-        """Invariant-guard check counters summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.guard_stats` across the study; points
-        run with ``guard_level="off"`` (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.guard.invariants import merge_guard_stats
-
-        return merge_guard_stats(record.guard_stats() for record in self.records)
-
-    def telemetry_stats(self) -> Optional[Dict[str, float]]:
-        """Telemetry statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.telemetry_stats` across the study with
-        the deterministic sorted-key merge.  Telemetry is the one
-        diagnostics family that survives persistence, so store-served and
-        JSON-loaded points contribute too.  ``None`` when no point was
-        traced.
-        """
-        from repro.telemetry.tracer import merge_telemetry_stats
-
-        return merge_telemetry_stats(
-            record.telemetry_stats() for record in self.records
-        )
+    def layer_stats(self, name: str) -> Optional[Dict[str, float]]:
+        """Diagnostics family ``name`` summed over every point of the grid."""
+        return merge_layer(name, (record.layer_stats(name) for record in self.records))
 
     def telemetry_spans(self) -> List[Dict[str, object]]:
         """Every point's span events, stamped with the point name.

@@ -252,9 +252,11 @@ def _kernel_stats_fragment(stats) -> Optional[str]:
     )
     exhaustive = stats.get("exhaustive_slots")
     if exhaustive is not None:
-        fragment += (
-            f"; {exhaustive} exhaustive / {stats.get('gibbs_slots', 0)} gibbs slot(s)"
-        )
+        fragment += f"; {exhaustive} exhaustive / {stats.get('gibbs_slots', 0)} gibbs"
+        greedy = stats.get("greedy_slots")
+        if greedy is not None:
+            fragment += f" / {greedy} greedy"
+        fragment += " slot(s)"
     return fragment
 
 
@@ -363,29 +365,26 @@ def _telemetry_stats_fragment(stats) -> Optional[str]:
     )
 
 
-#: The health-line registry: one entry per diagnostics family, in render
-#: order.  ``key`` names the family, ``accessor`` is the stats method looked
-#: up on any result object (:class:`~repro.api.records.RunRecord` and
-#: :class:`~repro.api.study.StudyResult` both expose the full set), and
-#: ``renderer`` turns the merged mapping into a fragment (``None`` when the
-#: family has nothing to report).  Adding a family is one registry entry —
-#: telemetry rides the same path as the six original layers.
-_HEALTH_REGISTRY: Tuple[Tuple[str, str, Callable], ...] = (
-    ("kernel", "kernel_stats", _kernel_stats_fragment),
-    ("physical", "physical_stats", _physical_stats_fragment),
-    ("eventsim", "event_stats", _eventsim_stats_fragment),
-    ("serving", "serving_stats", _serving_stats_fragment),
-    ("faults", "fault_stats", _fault_stats_fragment),
-    ("guard", "guard_stats", _guard_stats_fragment),
-    ("telemetry", "telemetry_stats", _telemetry_stats_fragment),
+#: The health-line registry: ``(family, renderer)`` per diagnostics family of
+#: :data:`repro.api.layers.STATS_FAMILIES`, in render order.  ``renderer``
+#: turns the family's merged stats into a fragment (``None`` when the family
+#: has nothing to report).
+_HEALTH_REGISTRY: Tuple[Tuple[str, Callable], ...] = (
+    ("kernel", _kernel_stats_fragment),
+    ("physical", _physical_stats_fragment),
+    ("eventsim", _eventsim_stats_fragment),
+    ("serving", _serving_stats_fragment),
+    ("faults", _fault_stats_fragment),
+    ("guard", _guard_stats_fragment),
+    ("telemetry", _telemetry_stats_fragment),
 )
 
 
 def _render_health_line(stats_by_key: Mapping[str, Optional[Mapping]]) -> Optional[str]:
     """Render the [health] line from per-family stats mappings (registry order)."""
     fragments = []
-    for key, _accessor, renderer in _HEALTH_REGISTRY:
-        fragment = renderer(stats_by_key.get(key))
+    for family, renderer in _HEALTH_REGISTRY:
+        fragment = renderer(stats_by_key.get(family))
         if fragment:
             fragments.append(fragment)
     if not fragments:
@@ -394,18 +393,14 @@ def _render_health_line(stats_by_key: Mapping[str, Optional[Mapping]]) -> Option
 
 
 def _health_line(source) -> Optional[str]:
-    """One line summarising every layer's health, from any result object.
+    """One line summarising every layer's health.
 
-    Walks the registry's accessors on ``source`` — works identically for a
-    :class:`~repro.api.records.RunRecord` and a
-    :class:`~repro.api.study.StudyResult`, so every command shares one
-    renderer.
+    Works on a :class:`~repro.api.records.RunRecord` and a
+    :class:`~repro.api.study.StudyResult` alike: both expose ``layer_stats``.
     """
-    stats_by_key = {}
-    for key, accessor, _renderer in _HEALTH_REGISTRY:
-        method = getattr(source, accessor, None)
-        stats_by_key[key] = method() if callable(method) else None
-    return _render_health_line(stats_by_key)
+    return _render_health_line(
+        {family: source.layer_stats(family) for family, _renderer in _HEALTH_REGISTRY}
+    )
 
 
 def _write_metrics_out(arguments: argparse.Namespace, source) -> None:

@@ -704,13 +704,3 @@ class InvariantGuard:
                     details=dict(stats),
                 )
 
-
-def merge_guard_stats(stats_mappings) -> Optional[Dict[str, int]]:
-    """Sum guard counter mappings; ``None`` when none are present.
-
-    Same merge semantics as the kernel stats
-    (:func:`repro.analysis.stats.merge_stat_mappings` with the int cast).
-    """
-    from repro.analysis.stats import merge_stat_mappings
-
-    return merge_stat_mappings(stats_mappings, cast=int)

@@ -15,7 +15,6 @@ from repro.simulation.physical import (
     ReferencePhysicalEngine,
     VectorizedPhysicalEngine,
     build_physical_engine,
-    merge_physical_stats,
 )
 from repro.simulation.results import SlotRecord, SimulationResult
 from repro.simulation.engine import (
@@ -32,7 +31,6 @@ from repro.simulation.eventsim import (
     SwapProtocol,
     TimingModel,
     edge_latency_key,
-    merge_event_stats,
 )
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "ReferencePhysicalEngine",
     "VectorizedPhysicalEngine",
     "build_physical_engine",
-    "merge_physical_stats",
     "SlotRecord",
     "SimulationResult",
     "BACKEND_KINDS",
@@ -64,5 +61,4 @@ __all__ = [
     "SwapProtocol",
     "TimingModel",
     "edge_latency_key",
-    "merge_event_stats",
 ]

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro import api
+from repro.api.layers import merge_layer
 from repro.core.baselines import MyopicFixedPolicy
 from repro.core.oscar import OscarPolicy
 from repro.experiments import fig3_time_evolving, fig5_budget, fig10_timing
@@ -22,7 +23,6 @@ from repro.simulation.eventsim import (
     TimingModel,
     edge_latency_key,
     first_success_attempt,
-    merge_event_stats,
 )
 from repro.workload.requests import UniformRequestProcess
 from repro.workload.traces import generate_trace
@@ -268,9 +268,9 @@ class TestStudyAndRecords:
         assert result.event_stats()["slots"] == event.event_stats()["slots"]
 
     def test_merge_event_stats_skips_missing(self):
-        merged = merge_event_stats([None, {"events": 2.0}, {"events": 3.0}])
+        merged = merge_layer("eventsim", [None, {"events": 2.0}, {"events": 3.0}])
         assert merged["events"] == 5.0
-        assert merge_event_stats([None, None]) is None
+        assert merge_layer("eventsim", [None, None]) is None
 
     def test_run_record_event_stats(self):
         config = ExperimentConfig.tiny().with_overrides(

@@ -10,12 +10,12 @@ import json
 import pytest
 
 from repro import api
+from repro.api.layers import merge_layer
 from repro.experiments.persistence import result_to_dict
 from repro.serving.scheduler import (
     ServingModel,
     jain_fairness,
     mean_sojourn_slots,
-    merge_serving_stats,
     serving_requests_per_second,
     shard_for_session,
 )
@@ -223,9 +223,9 @@ class TestStatsHelpers:
     def test_merge_is_summable(self):
         a = {"requests_served": 3, "slots": 2}
         b = {"requests_served": 5, "slots": 4}
-        merged = merge_serving_stats([a, b])
+        merged = merge_layer("serving", [a, b])
         assert merged["requests_served"] == 8
         assert merged["slots"] == 6
 
     def test_merge_none_when_empty(self):
-        assert merge_serving_stats([None, None]) is None
+        assert merge_layer("serving", [None, None]) is None

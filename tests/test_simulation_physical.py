@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.api.layers import merge_layer
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import result_to_dict
 from repro.network.routes import Route
@@ -26,7 +27,6 @@ from repro.simulation.physical import (
     PhysicalStats,
     ReferencePhysicalEngine,
     VectorizedPhysicalEngine,
-    merge_physical_stats,
 )
 from repro.utils.rng import spawn_rngs
 from repro.workload.budget import purification_rounds_within_budget
@@ -163,11 +163,11 @@ class TestEngineSemantics:
     def test_stats_merge(self):
         a = PhysicalStats(requests=3, delivered=2, fidelity_sum=1.5)
         b = PhysicalStats(requests=4, delivered=1, fidelity_sum=0.7)
-        merged = merge_physical_stats([a.to_dict(), None, b.to_dict()])
+        merged = merge_layer("physical", [a.to_dict(), None, b.to_dict()])
         assert merged["requests"] == 7
         assert merged["delivered"] == 3
         assert merged["fidelity_sum"] == pytest.approx(2.2)
-        assert merge_physical_stats([None, "nope"]) is None
+        assert merge_layer("physical", [None, "nope"]) is None
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
