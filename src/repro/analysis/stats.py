@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def merge_stat_mappings(
@@ -76,6 +75,10 @@ def confidence_interval(
     mean = float(np.mean(array))
     if array.size == 1:
         return (mean, mean)
+    # Imported on first use: a one-trial run never needs scipy, which costs
+    # tens of MB and about a second to load.
+    from scipy import stats as scipy_stats
+
     sem = float(scipy_stats.sem(array))
     if sem == 0 or math.isnan(sem):
         return (mean, mean)

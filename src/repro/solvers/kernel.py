@@ -11,17 +11,22 @@ single request's route and barely moves the optimal dual multipliers.
 The kernel is split into two layers:
 
 * :class:`CompiledStructure` — everything that depends only on the *static*
-  topology: a global constraint-row registry over every node and edge of the
-  graph, per-route blocks of single-channel success probabilities ``p_e``
-  and their ``-log1p(-p_e)`` tables, and per-route-combination constraint
-  matrices (membership rows, first-touch constraint ordering, variable
-  bounds skeleton).  All of it is compiled lazily, memoised, and — crucially
-  — reusable across the drop-retry loop, consecutive slots and whole
-  horizons, because only right-hand sides change slot to slot.
+  topology and that results depend on across slots: a global constraint-row
+  registry over every node and edge of the graph, per-route blocks of
+  single-channel success probabilities ``p_e``, and the carried solver state
+  (warm-start multipliers, the solve memo, and a key-only LRU of the route
+  combinations seen so far).  It is reused across the drop-retry loop,
+  consecutive slots and whole horizons, because only right-hand sides change
+  slot to slot.
 * :class:`SlotKernel` — a thin per-slot *binding* of a structure: it rewrites
   the capacity/occupancy right-hand sides from the slot's resource snapshot,
-  the cost weight ``q_t`` and the budget cap, and evaluates route
-  combinations incrementally on top of the compiled arrays.
+  the cost weight ``q_t`` and the budget cap, compiles the layouts
+  (:class:`_ComboStructure`: membership rows, first-touch constraint
+  ordering, probability tables) of the route combinations it evaluates, and
+  evaluates them incrementally on top of those arrays.  Layouts live for the
+  binding only: combinations rarely recur across slots (a paper-scale trial
+  re-visits about 0.5% of them), so keeping them for the horizon cost memory
+  without saving time.
 
 :class:`KernelCache` owns the structures (keyed by a content signature over
 the graph's nodes, edges and link physics) and the cross-slot warm-start
@@ -92,7 +97,8 @@ STAT_KEYS = (
     "early_stops",
 )
 
-#: Bound on the number of cached combination structures per topology.
+#: Bound on the number of combination keys a structure remembers across
+#: slots; evicting a key also drops its warm-start multipliers.
 MAX_COMBOS = 8192
 
 #: Bound on the number of memoised solves per topology.
@@ -286,7 +292,7 @@ class _ComboStructure:
     Everything here depends only on which routes were combined (and whether a
     budget row is active) — the legacy first-touch constraint ordering,
     probability tables, membership — so it is compiled once per distinct
-    route multiset and reused across slots and request sets.
+    route multiset within a :class:`SlotKernel` binding and dropped with it.
 
     Only what every solve reads is built eagerly.  The dense membership
     matrices, the per-variable row lists and the per-row member lists are
@@ -310,6 +316,7 @@ class _ComboStructure:
         "_membership_t",
         "_var_rows",
         "_row_members",
+        "__weakref__",
     )
 
     def __init__(
@@ -401,13 +408,14 @@ class _ComboStructure:
 
 
 class CompiledStructure:
-    """Static compiled state of one graph: row registry, route blocks, combos.
+    """Static compiled state of one graph: row registry, route blocks, warm state.
 
     The row registry covers *every* node and edge of the graph (nodes first,
     then edges, then one reserved budget row), so warm-start dual multipliers
     are indexed by physical resource and stay meaningful across route
-    combinations, request sets and slots.  Route blocks and combination
-    structures are compiled lazily and memoised.
+    combinations, request sets and slots.  Route blocks are compiled lazily
+    and memoised; combination layouts belong to the binding that built them,
+    and only their keys are remembered here.
     """
 
     def __init__(self, graph: "QDNGraph") -> None:
@@ -426,7 +434,9 @@ class CompiledStructure:
         }
 
         self._route_blocks: Dict[object, _RouteBlock] = {}
-        self._combos: "OrderedDict[Tuple, _ComboStructure]" = OrderedDict()
+        # The combinations looked up so far, least recently used first: a
+        # lookup of a remembered key counts towards ``combo_hits``.
+        self._combo_keys: "OrderedDict[Tuple, None]" = OrderedDict()
 
         # Warm-start state carried across combinations *and* slots: one
         # global multiplier vector over the full row registry, plus per-combo
@@ -469,21 +479,17 @@ class CompiledStructure:
             self._route_blocks[route] = block
         return block
 
-    def combo_for(
-        self, blocks: Sequence[_RouteBlock], use_budget: bool
-    ) -> Tuple[Tuple, _ComboStructure, bool]:
-        """The combination structure of a route multiset; (key, combo, was_cached)."""
-        key = (tuple(block.index for block in blocks), use_budget)
-        combo = self._combos.get(key)
-        if combo is not None:
-            self._combos.move_to_end(key)
-            return key, combo, True
-        combo = _ComboStructure(blocks, self.budget_row if use_budget else None)
-        self._combos[key] = combo
-        while len(self._combos) > MAX_COMBOS:
-            evicted, _ = self._combos.popitem(last=False)
+    def touch_combo(self, key: Tuple) -> bool:
+        """Record a lookup of a combination key; whether it was remembered."""
+        keys = self._combo_keys
+        if key in keys:
+            keys.move_to_end(key)
+            return True
+        keys[key] = None
+        while len(keys) > MAX_COMBOS:
+            evicted, _ = keys.popitem(last=False)
             self.combo_warm.pop(evicted, None)
-        return key, combo, False
+        return False
 
     # ------------------------------------------------------------------ #
     # Per-slot right-hand sides
@@ -502,14 +508,6 @@ class CompiledStructure:
         )
         return capacities
 
-    def reset_warm_state(self) -> None:
-        """Forget the carried dual multipliers (fresh-run semantics)."""
-        self.warm_mult[:] = 0.0
-        self.warm_ready = False
-        self.step_offset = 0
-        self.combo_warm.clear()
-        self.solve_memo.clear()
-
 
 class SlotKernel:
     """Per-slot binding of a :class:`CompiledStructure` (see module docstring).
@@ -517,7 +515,8 @@ class SlotKernel:
     Exposes the evaluator interface of the legacy ``_CombinationEvaluator``;
     every distinct route combination is solved at most once per binding and
     cached, and consecutive solves share warm-started dual multipliers (which
-    persist on the structure across bindings, i.e. across slots).
+    persist on the structure across bindings, i.e. across slots).  The
+    combination layouts it compiles are its own and go with it.
     """
 
     def __init__(
@@ -555,9 +554,12 @@ class SlotKernel:
         self._use_budget = self._budget_cap is not None
 
         self._cache: Dict[Tuple[int, ...], "AllocationOutcome"] = {}
-        # Combination structures already looked up by the batch pre-pass on
-        # behalf of a scalar-routed solve: maps combo key to whether that
-        # first lookup was a cache hit, so _solve does not re-count it.
+        # The layouts of the combinations this binding looked up; they go
+        # with the binding (the structure keeps only their keys).
+        self._layouts: Dict[Tuple, _ComboStructure] = {}
+        # Combinations already looked up by the batch pre-pass on behalf of
+        # a scalar-routed solve: maps combo key to whether that first lookup
+        # was a hit, so _solve does not re-count it.
         self._combo_precounted: Dict[Tuple, bool] = {}
         self.evaluations = 0
         self.stats: Dict[str, int] = {key: 0 for key in STAT_KEYS}
@@ -590,6 +592,18 @@ class SlotKernel:
         if not outcome.feasible:
             return float("-inf")
         return outcome.objective
+
+    def _combo_for(
+        self, blocks: Sequence[_RouteBlock]
+    ) -> Tuple[Tuple, _ComboStructure, bool]:
+        """The layout of a route multiset; (key, layout, key was remembered)."""
+        key = (tuple(block.index for block in blocks), self._use_budget)
+        cached = self._structure.touch_combo(key)
+        combo = self._layouts.get(key)
+        if combo is None:
+            budget_row = self._structure.budget_row if self._use_budget else None
+            combo = self._layouts[key] = _ComboStructure(blocks, budget_row)
+        return key, combo, cached
 
     # ------------------------------------------------------------------ #
     # Batched evaluation (horizon mode)
@@ -675,9 +689,7 @@ class SlotKernel:
             if not blocks or all(block.hops == 0 for block in blocks):
                 self.outcome_for(key)
                 continue
-            combo_key, combo, combo_cached = structure.combo_for(
-                blocks, self._use_budget
-            )
+            combo_key, combo, combo_cached = self._combo_for(blocks)
             capacities = self._capacities[combo.order_array]
             memo_key = (
                 combo_key, self._utility_weight, self._cost_weight,
@@ -988,7 +1000,7 @@ class SlotKernel:
             return _outcome_class()(
                 allocation={}, objective=0.0, feasible=True, cost=0
             )
-        combo_key, combo, combo_cached = structure.combo_for(blocks, self._use_budget)
+        combo_key, combo, combo_cached = self._combo_for(blocks)
         precounted = self._combo_precounted.pop(combo_key, None)
         if combo_cached if precounted is None else precounted:
             self.stats["combo_hits"] += 1
@@ -1498,9 +1510,12 @@ class KernelCache:
     policy): route selectors call :meth:`bind` once per select — across the
     drop-retry loop, consecutive slots and whole horizons — and get back a
     :class:`SlotKernel` bound to the slot's right-hand sides but sharing the
-    compiled structure and the carried warm-start duals.  The cache is
-    strictly per-process and per-policy, so parallel study workers (which
-    each build their own solvers) stay byte-identical to serial runs.
+    compiled structure and the carried warm-start duals.  Across binds the
+    cache keeps the route blocks, the warm multipliers, the solve memo and
+    the combination keys; each binding compiles the combination layouts it
+    needs, and they are released with it at the next :meth:`bind`.  The
+    cache is strictly per-process and per-policy, so parallel study workers
+    (which each build their own solvers) stay byte-identical to serial runs.
     """
 
     def __init__(self, max_structures: int = 4) -> None:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.solvers.allocation_problem import AllocationProblem, ContinuousSolution
 from repro.utils.validation import check_positive
@@ -362,6 +361,10 @@ class SLSQPSolver(RelaxedSolver):
                 return lambda x: capacity - x[members].sum()
 
             scipy_constraints.append({"type": "ineq", "fun": make_fun()})
+
+        # Imported here, not at module level: scipy costs tens of MB and about
+        # a second to load, and only this reference solver uses it.
+        from scipy import optimize
 
         bounds = [(float(lo), float(hi) if math.isfinite(hi) else None) for lo, hi in zip(lower, upper)]
         start = np.clip(lower + 0.5, lower, upper)

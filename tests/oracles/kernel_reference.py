@@ -5,6 +5,8 @@ layout (:class:`ReferenceComboStructure`), the integer surplus pass
 (:func:`reference_surplus_pass`) and the cyclic coordinate polish
 (:func:`reference_cyclic_coordinate_polish`): every field built eagerly,
 eligibility re-gathered on every surplus increment, NumPy scalars throughout.
+:func:`reference_combo_for` is the horizon-long layout cache the kernel used
+to keep: every layout stays on the compiled structure across bindings.
 The shipped versions in :mod:`repro.solvers.kernel`,
 :mod:`repro.solvers.rounding` and :mod:`repro.solvers.relaxed` must produce
 exactly the same arrays and floats; ``tests/test_kernel_oracles.py`` holds
@@ -14,6 +16,7 @@ them to that, field by field and solve by solve.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -107,6 +110,31 @@ class ReferenceComboStructure:
         self.fast_path = not bool(np.any(degenerate))
         self.a = -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-15))
         self.neg_log1p = np.log1p(-p)
+
+
+def reference_combo_for(slot_kernel, blocks: Sequence["_RouteBlock"]):
+    """``SlotKernel._combo_for`` with layouts kept across bindings.
+
+    One LRU of layouts per compiled structure, bounded by ``MAX_COMBOS``: a
+    hit returns the layout built by an earlier binding, and evicting a
+    layout drops its warm-start multipliers.  Returns (key, layout, hit).
+    """
+    from repro.solvers import kernel
+
+    structure = slot_kernel._structure
+    combos = structure.__dict__.setdefault("reference_combos", OrderedDict())
+    use_budget = slot_kernel._use_budget
+    key = (tuple(block.index for block in blocks), use_budget)
+    combo = combos.get(key)
+    if combo is not None:
+        combos.move_to_end(key)
+        return key, combo, True
+    combo = kernel._ComboStructure(blocks, structure.budget_row if use_budget else None)
+    combos[key] = combo
+    while len(combos) > kernel.MAX_COMBOS:
+        evicted, _ = combos.popitem(last=False)
+        structure.combo_warm.pop(evicted, None)
+    return key, combo, False
 
 
 def _marginal_gain(

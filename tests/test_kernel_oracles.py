@@ -1,17 +1,20 @@
 """Bit-identity of the kernel's hot helpers against their reference oracles.
 
-The compiled slot kernel builds combination layouts lazily, runs the surplus
-pass incrementally and the coordinate polish on Python floats.  Each of those
-is an exact re-arrangement of the straightforward implementation kept in
-``tests/oracles/kernel_reference.py``: the same floating-point operations in
-the same order.  These tests hold them to exact equality (``np.array_equal``
-plus identical bytes, ``==`` on floats), field by field on random instances
-and outcome by outcome on whole Gibbs and exhaustive selections.
+The compiled slot kernel builds combination layouts lazily and keeps them for
+one binding only, runs the surplus pass incrementally and the coordinate
+polish on Python floats.  Each of those is an exact re-arrangement of the
+straightforward implementation kept in ``tests/oracles/kernel_reference.py``:
+the same floating-point operations in the same order.  These tests hold them
+to exact equality (``np.array_equal`` plus identical bytes, ``==`` on
+floats), field by field on random instances and outcome by outcome on whole
+Gibbs and exhaustive selections.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from oracles.kernel_reference import (
     ReferenceComboStructure,
+    reference_combo_for,
     reference_cyclic_coordinate_polish,
     reference_surplus_pass,
 )
@@ -350,10 +354,15 @@ def outcome_fingerprint(outcome):
 
 def run_selections(contexts, selector_cls, weights, **selector_kwargs):
     """Every outcome each slot's kernel evaluated, the picks, and the counters."""
-    utility_weight, cost_weight, budget_cap = weights
+    steps = [(context, weights) for context in contexts]
+    return run_horizon(steps, selector_cls, **selector_kwargs)
+
+
+def run_horizon(steps, selector_cls, **selector_kwargs):
+    """:func:`run_selections` over (context, weights) steps on one cache."""
     cache = KernelCache()
     trail = []
-    for context in contexts:
+    for context, (utility_weight, cost_weight, budget_cap) in steps:
         selector = selector_cls(use_kernel=True, kernel_cache=cache, **selector_kwargs)
         result = selector.select(
             context, context.servable_requests(), utility_weight, cost_weight,
@@ -377,13 +386,16 @@ WEIGHTS = [
     (2500.0, 10.0, 40.0),  # a binding budget row
 ]
 
+SELECTORS = [
+    (ExhaustiveRouteSelector, {}),
+    (GibbsRouteSelector, {"iterations": 12}),
+]
+
 
 class TestWholeSolveIdentity:
     @pytest.mark.parametrize("weights", WEIGHTS)
     @pytest.mark.parametrize(
-        "selector_cls, selector_kwargs",
-        [(ExhaustiveRouteSelector, {}), (GibbsRouteSelector, {"iterations": 12})],
-        ids=["exhaustive", "gibbs"],
+        "selector_cls, selector_kwargs", SELECTORS, ids=["exhaustive", "gibbs"]
     )
     @pytest.mark.parametrize("seeds", [(1, 51), (3, 53)])
     def test_outcomes_and_counters_match_the_oracles(
@@ -399,3 +411,67 @@ class TestWholeSolveIdentity:
         oracle = run_selections(contexts, selector_cls, weights, **selector_kwargs)
         assert shipped[1] == oracle[1]
         assert shipped[0] == oracle[0]
+
+
+class TestBindingScopedLayouts:
+    """Layouts built per binding solve exactly as layouts kept for the horizon."""
+
+    @pytest.mark.parametrize("max_combos", [kernel.MAX_COMBOS, 8], ids=["default", "small"])
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    @pytest.mark.parametrize(
+        "selector_cls, selector_kwargs", SELECTORS, ids=["exhaustive", "gibbs"]
+    )
+    def test_outcomes_and_counters_match_horizon_layouts(
+        self, monkeypatch, max_combos, selector_cls, selector_kwargs, weights
+    ):
+        monkeypatch.setattr(kernel, "MAX_COMBOS", max_combos)
+        # Each slot is bound twice, the second time at a higher queue price:
+        # its combinations recur in the next binding without a memo hit, so
+        # they re-seed from their own warm multipliers (unless evicted).
+        utility_weight, cost_weight, budget_cap = weights
+        repriced = (utility_weight, cost_weight + 5.0, budget_cap)
+        steps = [
+            step
+            for context in slot_contexts(1, 51)
+            for step in ((context, weights), (context, repriced))
+        ]
+        shipped = run_horizon(steps, selector_cls, **selector_kwargs)
+        monkeypatch.setattr(kernel.SlotKernel, "_combo_for", reference_combo_for)
+        oracle = run_horizon(steps, selector_cls, **selector_kwargs)
+        assert oracle[1]["combo_hits"] > oracle[1]["memo_hits"]
+        assert shipped[1] == oracle[1]
+        assert shipped[0] == oracle[0]
+
+    def test_small_bound_evicts_keys_and_their_warm_multipliers(self, monkeypatch):
+        monkeypatch.setattr(kernel, "MAX_COMBOS", 8)
+        cache = KernelCache()
+        for context in slot_contexts(1, 51) * 2:
+            selector = GibbsRouteSelector(use_kernel=True, kernel_cache=cache, iterations=12)
+            selector.select(context, context.servable_requests(), 2500.0, 10.0, seed=3)
+        (structure,) = cache._structures.values()
+        assert cache.aggregate_stats()["solves"] > 8
+        assert len(structure._combo_keys) == 8
+        assert len(structure.combo_warm) <= 8
+
+    @pytest.mark.parametrize(
+        "selector_cls, selector_kwargs", SELECTORS, ids=["exhaustive", "gibbs"]
+    )
+    def test_layouts_are_released_at_the_next_bind(self, selector_cls, selector_kwargs):
+        first, second = slot_contexts(1, 51)[:2]
+        cache = KernelCache()
+
+        def select(context):
+            selector = selector_cls(
+                use_kernel=True, kernel_cache=cache, **selector_kwargs
+            )
+            selector.select(context, context.servable_requests(), 2500.0, 10.0, seed=3)
+
+        select(first)
+        refs = [weakref.ref(combo) for combo in cache._last_kernel._layouts.values()]
+        assert refs
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        select(second)
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(cache._structures) == 1
